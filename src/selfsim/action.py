@@ -24,7 +24,7 @@ from .errors import (
     NotInvertible,
     UnknownGenerator,
 )
-from .limits import DEFAULT_LEVEL_CAP
+from .limits import DEFAULT_LEVEL_CAP, MEMO_LIMIT
 from .mealy import MealyAutomaton, symbol_str
 
 
@@ -262,39 +262,60 @@ def check_level_cap(aut: MealyAutomaton, k: int, cap=None):
 def stabilizes_level(aut: MealyAutomaton, w, k: int, cap=None) -> bool:
     """True iff w fixes every word of length k.
 
-    Evaluated by recursion on the wreath decomposition with memoization,
-    which agrees with enumerating the level but shares repeated sections.
+    Evaluated by the memoized wreath walk, which agrees with enumerating
+    the level but shares repeated sections.
     """
     if k < 0:
         raise LevelTooLarge("level must be >= 0")
     check_level_cap(aut, k, cap)
     letters = as_group_word(aut, w).letters
     _require_invertible_for(aut, letters)
-    memo = aut._cache.setdefault("stab", {})
+    return _level_walk(aut, letters, k, aut._cache.setdefault("stab", {}), False)
 
-    def rec(ls, depth):
-        if depth == 0:
-            return True
-        key = (ls, depth)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        result = True
-        seen = set()
-        for x in aut.alphabet:
-            y, res = _step_word(aut, ls, x)
-            if y != x:
-                result = False
-                break
-            if res not in seen:
-                seen.add(res)
-                if not rec(res, depth - 1):
+
+def _level_walk(aut, letters, k, memo, empty_leaves):
+    """True iff the word fixes every letter down to depth k, walked over residuals.
+
+    With `empty_leaves` the depth-k residuals must also be empty.  Distinct
+    residuals below one word are walked once, depth first in letter order,
+    and the walk stops at the first failure.  `memo` maps (letters, depth)
+    to the answer; it stops growing at MEMO_LIMIT entries.  Iterative, so
+    only the level cap bounds k.
+    """
+    if k == 0:
+        return not letters if empty_leaves else True
+    result = memo.get((letters, k))
+    if result is not None:
+        return result
+    alphabet = aut.alphabet
+    stack = [(letters, k, iter(alphabet), set())]
+    while stack:
+        ls, depth, todo, seen = stack[-1]
+        if result is not False:          # first visit, or the last child held
+            result = True
+            for x in todo:
+                y, res = _step_word(aut, ls, x)
+                if y != x:
                     result = False
                     break
-        memo[key] = result
-        return result
-
-    return rec(letters, k)
+                if res in seen:
+                    continue
+                seen.add(res)
+                if depth == 1:
+                    result = not res if empty_leaves else True
+                else:
+                    result = memo.get((res, depth - 1))
+                    if result is None:
+                        stack.append((res, depth - 1, iter(alphabet), set()))
+                        break
+                if not result:
+                    break
+            if result is None:
+                continue
+        if len(memo) < MEMO_LIMIT:
+            memo[(ls, depth)] = result
+        stack.pop()
+    return result
 
 
 def iter_level_words(aut: MealyAutomaton, k: int, cap=None):

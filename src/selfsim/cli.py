@@ -31,9 +31,10 @@ from .graphgroup import (
     builtin,
     load_graph,
 )
-from .limits import caps_from_env
+from .limits import caps_from_env, positive_int
 from .mealy import (
     bisimulation_classes,
+    content_lines,
     dual,
     dump_automaton,
     enriched_dual,
@@ -238,8 +239,8 @@ def _build_parser():
 
     p = sub.add_parser("nucleus", help="nucleus of the generated group")
     _add_sources(p)
-    p.add_argument("--depth-cap", type=int, default=None)
-    p.add_argument("--size-cap", type=int, default=None)
+    p.add_argument("--depth-cap", type=positive_int, default=None)
+    p.add_argument("--size-cap", type=positive_int, default=None)
 
     for name in ("fragile", "gk-identity"):
         p = sub.add_parser(name)
@@ -361,12 +362,10 @@ def _run(args, report):
 
     if cmd == "nucleus":
         aut = inputs.automaton()
-        caps_kw = {}
-        if args.depth_cap is not None or "nucleus_depth" in caps:
-            caps_kw["depth_cap"] = args.depth_cap or caps.get("nucleus_depth")
-        if args.size_cap is not None or "nucleus_size" in caps:
-            caps_kw["size_cap"] = args.size_cap or caps.get("nucleus_size")
-        nuc = nucleus(aut, **caps_kw)
+        nuc = nucleus(
+            aut,
+            depth_cap=caps.get("nucleus_depth") if args.depth_cap is None else args.depth_cap,
+            size_cap=caps.get("nucleus_size") if args.size_cap is None else args.size_cap)
         report.add("size", len(nuc))
         for rep in nuc.elements:
             report.add("element", format_word(rep))
@@ -428,12 +427,8 @@ def _run(args, report):
             data = handle.read()
         report.add("input", "file:%s" % args.tuples)
         report.add("input-sha256", _digest(data))
-        rows = []
-        for line in data.decode("utf-8").splitlines():
-            line = line.split("#")[0].strip()
-            if not line:
-                continue
-            rows.append(tuple(parse_word(part) for part in line.split(",")))
+        rows = [tuple(parse_word(part) for part in line.split(","))
+                for _, line in content_lines(data.decode("utf-8"))]
         result = dichotomy(rows)
         report.add("tuples", len(rows))
         report.add("result", result.kind)

@@ -8,7 +8,7 @@ Also holds the fixture menagerie used across the test suite and the CLI.
 import re
 
 from .errors import BadGraph, EmptyGraph, FormatError, UnknownFixture
-from .mealy import MealyAutomaton, make_automaton
+from .mealy import MealyAutomaton, content_lines, make_automaton
 
 SINK_NAME = "id"
 
@@ -322,11 +322,7 @@ def load_graph(text: str) -> OrientedGraph:
     vertices = []
     vertices_seen = False
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        pos = raw.find("#")
-        line = (raw if pos < 0 else raw[:pos]).strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if line.startswith("vertices:"):
             if vertices_seen:
                 raise FormatError("line %d: duplicate vertices header" % lineno)

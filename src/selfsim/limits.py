@@ -4,7 +4,8 @@ Level sweeps, quotient closures and nucleus computations are exact but can
 be asked for absurd sizes; these caps turn runaway requests into errors
 instead of hangs.  The CLI reads SELFSIM_CAPS to raise them: either a bare
 integer (level cap) or comma separated pairs like
-``level=2000000,quotient=9,nucleus-depth=64,nucleus-size=1024``.
+``level=2000000,quotient=9,nucleus-depth=64,nucleus-size=1024``.  Every cap
+is a positive integer.
 """
 
 import os
@@ -15,6 +16,7 @@ DEFAULT_LEVEL_CAP = 10 ** 6      # max |X|**k entries in a level enumeration
 DEFAULT_QUOTIENT_CAP = 8         # max |X| for the symmetric quotient closure
 DEFAULT_NUCLEUS_DEPTH = 64       # max breadth-first levels per pair product
 DEFAULT_NUCLEUS_SIZE = 512       # max number of nucleus elements
+MEMO_LIMIT = 300_000             # max entries kept in each per-automaton memo
 
 _KEYS = {
     "level": "level_cap",
@@ -22,6 +24,14 @@ _KEYS = {
     "nucleus-depth": "nucleus_depth",
     "nucleus-size": "nucleus_size",
 }
+
+
+def positive_int(text) -> int:
+    """A cap value: a positive integer, else ValueError."""
+    value = int(text)
+    if value <= 0:
+        raise ValueError("%r is not a positive integer" % (text,))
+    return value
 
 
 def caps_from_env(environ=None) -> dict:
@@ -33,9 +43,10 @@ def caps_from_env(environ=None) -> dict:
     out = {}
     if "=" not in raw:
         try:
-            out["level_cap"] = int(raw)
+            out["level_cap"] = positive_int(raw)
         except ValueError:
-            raise FormatError("SELFSIM_CAPS must be an integer or k=v pairs, got %r" % raw)
+            raise FormatError(
+                "SELFSIM_CAPS must be a positive integer or k=v pairs, got %r" % raw)
         return out
     for part in raw.split(","):
         part = part.strip()
@@ -46,7 +57,8 @@ def caps_from_env(environ=None) -> dict:
         if key not in _KEYS:
             raise FormatError("unknown SELFSIM_CAPS key %r" % key)
         try:
-            out[_KEYS[key]] = int(value)
+            out[_KEYS[key]] = positive_int(value)
         except ValueError:
-            raise FormatError("bad SELFSIM_CAPS value for %r: %r" % (key, value))
+            raise FormatError(
+                "bad SELFSIM_CAPS value for %r: %r is not a positive integer" % (key, value))
     return out

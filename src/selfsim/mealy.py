@@ -348,6 +348,18 @@ def _strongly_connected_components(nodes, succ):
     return comp, comps
 
 
+def _cyclic_components(nodes, succ):
+    """Kosaraju components plus the indices of the cyclic ones.
+
+    A component is cyclic when it has more than one member or its single
+    member has a self-loop.
+    """
+    comp, comps = _strongly_connected_components(nodes, succ)
+    cyclic = [ci for ci, members in enumerate(comps)
+              if len(members) > 1 or members[0] in succ[members[0]]]
+    return comp, comps, cyclic
+
+
 def is_bounded(aut: MealyAutomaton) -> bool:
     """Sink-avoiding path counts stay bounded.
 
@@ -365,13 +377,7 @@ def is_bounded(aut: MealyAutomaton) -> bool:
     succ = {n: [] for n in nodes}
     for s, t in edges:
         succ[s].append(t)
-    comp, comps = _strongly_connected_components(nodes, succ)
-    cyclic = []
-    for ci, members in enumerate(comps):
-        if len(members) > 1:
-            cyclic.append(ci)
-        elif any(s == t == members[0] for s, t in edges):
-            cyclic.append(ci)
+    comp, comps, cyclic = _cyclic_components(nodes, succ)
     cyclic_set = set(cyclic)
     for ci in cyclic:
         for v in comps[ci]:
@@ -499,9 +505,16 @@ def to_dot(aut: MealyAutomaton) -> str:
 #
 # '#' starts a comment; unknown fields are rejected.
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
+def content_lines(text: str):
+    """(line number, stripped text) of each line that is not blank or a comment.
+
+    The one tokenizer of the text formats: '#' starts a comment anywhere on a
+    line.
+    """
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.partition("#")[0].strip()
+        if line:
+            yield lineno, line
 
 
 def load_automaton(text: str) -> MealyAutomaton:
@@ -509,10 +522,7 @@ def load_automaton(text: str) -> MealyAutomaton:
     sink = None
     sink_seen = False
     records = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         key, sep, rest = line.partition(":")
         if not sep:
             raise FormatError("line %d: expected 'field: ...'" % lineno)

@@ -15,7 +15,7 @@ from .action import iter_reduced_words
 from .errors import BadAction, BadAssignment, FormatError, LevelTooLarge
 from .graphgroup import SINK_NAME
 from .limits import DEFAULT_LEVEL_CAP
-from .mealy import MealyAutomaton, enriched_dual, inverse_symbol
+from .mealy import MealyAutomaton, content_lines, enriched_dual, inverse_symbol
 
 
 class FiniteAction:
@@ -104,22 +104,16 @@ def schreier_graph(action: FiniteAction) -> SchreierGraph:
 def spanning_tree(sch: SchreierGraph):
     """Breadth-first spanning tree from the basepoint, as a tuple of positive arcs.
 
-    From each vertex the forward arcs are tried in declared generator
-    order, which makes the tree deterministic.
+    The arcs are listed in breadth-first vertex order and declared generator
+    order, so the first arc into each vertex other than the basepoint is its
+    tree arc.
     """
-    action = sch.action
-    root = action.basepoint
-    seen = {root}
+    seen = {sch.action.basepoint}
     tree = []
-    queue = deque([root])
-    while queue:
-        p = queue.popleft()
-        for g in action.generators:
-            q = action.act(p, g)
-            if q not in seen:
-                seen.add(q)
-                tree.append((p, g, q))
-                queue.append(q)
+    for arc in sch.arcs:
+        if arc[2] not in seen:
+            seen.add(arc[2])
+            tree.append(arc)
     return tuple(tree)
 
 
@@ -251,22 +245,18 @@ def load_action(text: str) -> FiniteAction:
     basepoint = 0
     order = []
     perms = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        pos = raw.find("#")
-        line = (raw if pos < 0 else raw[:pos]).strip()
-        if not line:
-            continue
-        if line.startswith("degree"):
+    for lineno, line in content_lines(text):
+        fields = line.split()
+        keyword = fields[0]
+        if keyword in ("degree", "basepoint"):
             try:
-                degree = int(line.split()[1])
+                value = int(fields[1])
             except (IndexError, ValueError):
-                raise FormatError("line %d: degree takes one integer" % lineno)
-            continue
-        if line.startswith("basepoint"):
-            try:
-                basepoint = int(line.split()[1])
-            except (IndexError, ValueError):
-                raise FormatError("line %d: basepoint takes one integer" % lineno)
+                raise FormatError("line %d: %s takes one integer" % (lineno, keyword))
+            if keyword == "degree":
+                degree = value
+            else:
+                basepoint = value
             continue
         name, sep, rest = line.partition(":")
         if not sep:
@@ -299,11 +289,7 @@ def dump_action(action: FiniteAction) -> str:
 def load_assignment(text: str) -> dict:
     """Lines of 'tail generator output' keyed by spanning tree arcs."""
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        pos = raw.find("#")
-        line = (raw if pos < 0 else raw[:pos]).strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         fields = line.split()
         if len(fields) != 3:
             raise FormatError("line %d: expected 'tail generator output'" % lineno)

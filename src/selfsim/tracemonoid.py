@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .action import positive_state_word
+from .action import _step_word, positive_state_word
 from .errors import (
     BadGraph,
     LevelTooLarge,
@@ -21,7 +21,7 @@ from .errors import (
 )
 from .graphgroup import OrientedGraph, is_tree, line_graph_complement
 from .limits import DEFAULT_LEVEL_CAP
-from .mealy import MealyAutomaton
+from .mealy import MealyAutomaton, _cyclic_components
 from .wordproblem import is_identity
 
 
@@ -179,7 +179,7 @@ def semigroup_eq_via_action(aut: MealyAutomaton, u, v) -> ActionEq:
     sink = aut.sink
 
     def erased(word):
-        return tuple(a for a in positive_state_word(aut, word) if a != sink)
+        return tuple((a, 1) for a in positive_state_word(aut, word) if a != sink)
 
     start = (erased(u), erased(v))
     seen = {start}
@@ -187,8 +187,8 @@ def semigroup_eq_via_action(aut: MealyAutomaton, u, v) -> ActionEq:
     while queue:
         (p, q), prefix = queue.popleft()
         for x in aut.alphabet:
-            yp, rp = _positive_step(aut, p, x)
-            yq, rq = _positive_step(aut, q, x)
+            yp, rp = _step_word(aut, p, x)
+            yq, rq = _step_word(aut, q, x)
             if yp != yq:
                 return ActionEq(False, prefix + (x,))
             pair = (rp, rq)
@@ -196,19 +196,6 @@ def semigroup_eq_via_action(aut: MealyAutomaton, u, v) -> ActionEq:
                 seen.add(pair)
                 queue.append((pair, prefix + (x,)))
     return ActionEq(True, None)
-
-
-def _positive_step(aut, word, x):
-    """One input letter through a positive state word; residual is sink-erased."""
-    sink = aut.sink
-    y = x
-    res = []
-    for a in word:
-        r = aut.next(a, y)
-        y = aut.out(a, y)
-        if r != sink:
-            res.append(r)
-    return y, tuple(res)
 
 
 # -- orientation sensitivity ---------------------------------------------------
@@ -262,26 +249,9 @@ def _require_no_directed_cycle(orient):
     for tail, head in orient.values():
         succ.setdefault(tail, []).append(head)
         succ.setdefault(head, [])
-    color = {v: 0 for v in succ}
-    for root in succ:
-        if color[root]:
-            continue
-        stack = [(root, iter(succ[root]))]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if color[u] == 1:
-                    raise BadGraph("orientation has a directed cycle")
-                if color[u] == 0:
-                    color[u] = 1
-                    stack.append((u, iter(succ[u])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
-                stack.pop()
+    _, _, cyclic = _cyclic_components(list(succ), succ)
+    if cyclic:
+        raise BadGraph("orientation has a directed cycle")
 
 
 def check_cycle_torsion(aut: MealyAutomaton, w, k: int) -> bool:

@@ -16,6 +16,7 @@ import itertools
 
 from .action import (
     GroupWord,
+    _level_walk,
     _step_word,
     as_group_word,
     check_level_cap,
@@ -39,10 +40,9 @@ from .limits import (
     DEFAULT_NUCLEUS_DEPTH,
     DEFAULT_NUCLEUS_SIZE,
     DEFAULT_QUOTIENT_CAP,
+    MEMO_LIMIT,
 )
-from .mealy import MealyAutomaton
-
-_MEMO_LIMIT = 300_000
+from .mealy import MealyAutomaton, _cyclic_components
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def _identity_letters(aut, letters) -> tuple:
     if hit is None:
         witness, _ = _closure_scan(aut, letters, True)
         hit = (witness is None, witness)
-        if len(memo) < _MEMO_LIMIT:
+        if len(memo) < MEMO_LIMIT:
             memo[letters] = hit
     return hit
 
@@ -141,32 +141,7 @@ def fragile_member(aut: MealyAutomaton, w, k: int, cap=None) -> bool:
         raise LevelTooLarge("membership level must be >= 1")
     check_level_cap(aut, k, cap)
     letters = as_group_word(aut, w).letters
-    memo = aut._cache.setdefault("fragile", {})
-
-    def rec(ls, depth):
-        if depth == 0:
-            return not ls
-        key = (ls, depth)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        result = True
-        seen = set()
-        for x in aut.alphabet:
-            y, res = _step_word(aut, ls, x)
-            if y != x:
-                result = False
-                break
-            if res not in seen:
-                seen.add(res)
-                if not rec(res, depth - 1):
-                    result = False
-                    break
-        if len(memo) < _MEMO_LIMIT:
-            memo[key] = result
-        return result
-
-    return rec(letters, k)
+    return _level_walk(aut, letters, k, aut._cache.setdefault("fragile", {}), True)
 
 
 def fragile_index(aut: MealyAutomaton, w, kmax: int, cap=None):
@@ -329,14 +304,11 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
         if ls in rep_set:
             return ls
         hit = member_of.get(ls)
-        if hit is not None:
-            return hit
-        inv = tuple((g, -s) for g, s in reversed(ls))
-        for r in reps:
-            if _identity_letters(aut, free_reduce(r + inv))[0]:
-                member_of[ls] = r
-                return r
-        return None
+        if hit is None:
+            hit = _find_in(aut, ls, reps)
+            if hit is not None:
+                member_of[ls] = hit
+        return hit
 
     def add_word(ls):
         if find_rep(ls) is not None:
@@ -443,66 +415,16 @@ def _improve_rep(aut, letters):
 
 def _cycle_reachable(nodes, node_set, succ):
     """Words lying on a residual cycle or reachable from one, discovery order."""
-    index = {n: i for i, n in enumerate(nodes)}
-    n = len(nodes)
-    adj = [[index[k] for k in succ[node] if k in node_set] for node in nodes]
-    # Tarjan, iterative
-    low = [0] * n
-    num = [-1] * n
-    on_stack = [False] * n
-    stack = []
-    counter = [0]
-    cyclic = [False] * n
-    for root in range(n):
-        if num[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                num[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(adj[v])):
-                u = adj[v][i]
-                if num[u] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((u, 0))
-                    recurse = True
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], num[u])
-            if recurse:
-                continue
-            if low[v] == num[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                if len(comp) > 1 or v in adj[v]:
-                    for u in comp:
-                        cyclic[u] = True
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    # forward closure of the cyclic set
-    persistent = [False] * n
-    queue = deque(i for i in range(n) if cyclic[i])
-    for i in queue:
-        persistent[i] = True
+    inner = {node: [r for r in succ[node] if r in node_set] for node in nodes}
+    _, comps, cyclic = _cyclic_components(nodes, inner)
+    persistent = {node for ci in cyclic for node in comps[ci]}
+    queue = deque(persistent)
     while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if not persistent[u]:
-                persistent[u] = True
-                queue.append(u)
-    return [nodes[i] for i in range(n) if persistent[i]]
+        for r in inner[queue.popleft()]:
+            if r not in persistent:
+                persistent.add(r)
+                queue.append(r)
+    return [node for node in nodes if node in persistent]
 
 
 # -- reducibility scan ---------------------------------------------------------

@@ -1,0 +1,71 @@
+"""Full CLI reports compared byte for byte with stored reference output.
+
+Each case runs one subcommand from inside tests/golden, so file inputs are
+named by relative paths, and compares the exit status and the whole stdout
+with tests/golden/<case>.out.
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from selfsim.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+FIG5_COMM = "e2 e4 e2^-1 e4^-1"
+STAR_COMM = "a b a^-1 b^-1"
+
+CASES = [
+    ("nucleus-basilica", ["nucleus", "--builtin", "basilica"], 0),
+    ("nucleus-star3", ["nucleus", "--builtin", "star3"], 0),
+    ("nucleus-adding-file", ["nucleus", "--automaton", "adding.aut"], 0),
+    ("nucleus-star3-structured",
+     ["--format", "structured", "nucleus", "--builtin", "star3"], 0),
+    ("trace-eq-action-equal",
+     ["trace-eq", "--builtin", "fig5_tree", "-u", "e2 e4 e1", "-v", "e4 e2 e1",
+      "--oracle", "action"], 0),
+    ("trace-eq-action-unequal",
+     ["trace-eq", "--builtin", "star3", "-u", "a b", "-v", "b a", "--oracle", "action"], 0),
+    ("trace-eq-action-graph-file",
+     ["trace-eq", "--graph", "path4.graph", "-u", "e1 e3 id", "-v", "e3 e1",
+      "--oracle", "action"], 0),
+    ("trace-nf-graph-file", ["trace-nf", "--graph", "path4.graph", "-u", "e3 e1 e2 id"], 0),
+    ("check-acyclic-pass",
+     ["check-acyclic", "--builtin", "triangle_acyclic", "--max-len", "3"], 0),
+    ("check-acyclic-cyclic",
+     ["check-acyclic", "--builtin", "triangle_cyclic", "--max-len", "3"], 1),
+    ("check-acyclic-self-loop",
+     ["check-acyclic", "--builtin", "non_reducible_demo", "--max-len", "2"], 1),
+    ("schreier-gen-action", ["schreier-gen", "--action", "action4.txt"], 0),
+    ("schreier-gen-assignment",
+     ["schreier-gen", "--action", "action4.txt", "--assignment", "assignment4.txt"], 0),
+    ("verify-loops-action", ["verify-loops", "--action", "action4.txt", "--max-len", "3"], 0),
+    ("verify-loops-assignment",
+     ["verify-loops", "--action", "action4.txt", "--assignment", "assignment4.txt",
+      "--max-len", "3"], 0),
+    ("wp-fragile-identity",
+     ["wp", "--builtin", "fig5_tree", "-w", FIG5_COMM, "--method", "fragile", "--kmax", "4"], 0),
+    ("wp-fragile-nonidentity",
+     ["wp", "--builtin", "star3", "-w", STAR_COMM, "--method", "fragile", "--kmax", "3"], 0),
+    ("wp-closure-file", ["wp", "--automaton", "adding.aut", "-w", "a a"], 0),
+    ("fragile-member", ["fragile", "--builtin", "fig5_tree", "-w", FIG5_COMM, "-k", "2"], 0),
+    ("fragile-nonmember", ["fragile", "--builtin", "star3", "-w", STAR_COMM, "-k", "2"], 0),
+    ("gk-identity", ["gk-identity", "--builtin", "fig5_tree", "-w", FIG5_COMM, "-k", "3"], 0),
+    ("embed", ["embed", "--builtin", "fig5_tree", "-w", FIG5_COMM, "-k", "2"], 0),
+    ("dichotomy-abelian", ["dichotomy", "--tuples", "abelian.tuples"], 0),
+    ("dichotomy-free", ["dichotomy", "--tuples", "free.tuples"], 0),
+]
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[case[0] for case in CASES])
+def test_golden_report(name, argv, code, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.delenv("SELFSIM_CAPS", raising=False)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        got = main(list(argv))
+    expected = (GOLDEN / (name + ".out")).read_bytes().decode("utf-8")
+    assert (got, buf.getvalue()) == (code, expected)

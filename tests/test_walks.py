@@ -1,0 +1,132 @@
+"""The shared engine walks checked against brute force.
+
+stabilizes_level and fragile_member run one iterative level walk; the
+positive-word oracle steps through the group-word step function; acyclicity
+and nucleus persistence use the one SCC routine; the spanning tree is read
+off the coset graph's arcs.
+"""
+
+from collections import deque
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from selfsim import builtin_automaton
+from selfsim.action import (
+    apply_word,
+    iter_level_words,
+    restrict_word,
+    stabilizes_level,
+)
+from selfsim.errors import BadGraph
+from selfsim.schreier import (
+    FiniteAction,
+    build_reducible_automaton,
+    schreier_graph,
+    spanning_tree,
+)
+from selfsim.tracemonoid import (
+    check_acyclic_no_positive_identity,
+    semigroup_eq_via_action,
+)
+from selfsim.wordproblem import fragile_member
+
+# fixture name -> deepest level enumerated by brute force
+LEVELS = {"star3": 3, "fig5_tree": 2, "basilica": 5, "adding_machine": 5}
+AUTOMATA = {name: builtin_automaton(name) for name in LEVELS}
+
+
+def _words(name):
+    aut = AUTOMATA[name]
+    gens = [s for s in aut.states if s != aut.sink]
+    letter = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+    return st.lists(letter, max_size=8)
+
+
+@st.composite
+def _cases(draw):
+    name = draw(st.sampled_from(sorted(LEVELS)))
+    return name, draw(_words(name)), draw(st.integers(1, LEVELS[name]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_cases())
+def test_level_walk_matches_enumeration(case):
+    name, word, k = case
+    aut = AUTOMATA[name]
+    level = list(iter_level_words(aut, k))
+    stabilizes = all(apply_word(aut, word, u) == u for u in level)
+    assert stabilizes_level(aut, word, k) == stabilizes
+    member = stabilizes and all(restrict_word(aut, word, u).is_empty() for u in level)
+    assert fragile_member(aut, word, k) == member
+
+
+def _one_letter_machine():
+    return build_reducible_automaton(FiniteAction(["a"], 1, {"a": (0,)}))
+
+
+def test_level_walk_is_iterative():
+    # one letter: the level cap never binds, so only the walk bounds the depth
+    aut = _one_letter_machine()
+    assert stabilizes_level(aut, "a", 5000) is True
+    assert fragile_member(aut, "a", 5000) is False
+    assert fragile_member(aut, "a a a^-1 a^-1", 5000) is True
+
+
+def test_both_memos_share_one_bound(monkeypatch):
+    import selfsim.action
+    monkeypatch.setattr(selfsim.action, "MEMO_LIMIT", 10)
+    aut = _one_letter_machine()
+    assert stabilizes_level(aut, "a", 50)
+    assert not fragile_member(aut, "a", 50)
+    assert len(aut._cache["stab"]) == 10
+    assert len(aut._cache["fragile"]) == 10
+
+
+def test_positive_oracle_against_the_action(star, fig5):
+    for aut in (star, fig5):
+        gens = [s for s in aut.states if s != aut.sink]
+        level = list(iter_level_words(aut, 2))
+        for u in ([], [gens[0]], gens[:2], gens[:3]):
+            for v in ([], [gens[1]], gens[1::-1], gens[2::-1]):
+                result = semigroup_eq_via_action(aut, u, v)
+                agree = all(apply_word(aut, u, x) == apply_word(aut, v, x) for x in level)
+                if result.equal:
+                    assert agree
+                else:
+                    w = result.witness
+                    assert apply_word(aut, u, w) != apply_word(aut, v, w)
+
+
+@pytest.mark.parametrize("name", ["triangle_cyclic", "non_reducible_demo"])
+def test_directed_cycle_found_by_the_scc_routine(name):
+    # non_reducible_demo orients its one edge state as a self-loop at letter 2
+    with pytest.raises(BadGraph):
+        check_acyclic_no_positive_identity(builtin_automaton(name), 2)
+
+
+def _bfs_tree(action):
+    seen = {action.basepoint}
+    tree = []
+    queue = deque([action.basepoint])
+    while queue:
+        p = queue.popleft()
+        for g in action.generators:
+            q = action.act(p, g)
+            if q not in seen:
+                seen.add(q)
+                tree.append((p, g, q))
+                queue.append(q)
+    return tuple(tree)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.permutations(range(n)), min_size=1, max_size=3),
+    st.integers(0, n - 1))))
+def test_spanning_tree_is_breadth_first(case):
+    degree, perms, basepoint = case
+    names = ["g%d" % i for i in range(len(perms))]
+    action = FiniteAction(names, degree, dict(zip(names, perms)), basepoint=basepoint)
+    assert spanning_tree(schreier_graph(action)) == _bfs_tree(action)
