@@ -11,9 +11,14 @@ i.e. per-letter residuals concatenate left to right, each taken at the image
 of x under the prefix before it.  Residuals are returned freely reduced with
 sink letters deleted; the letter-exact output sequences needed by the dual
 path combinatorics come from dual_path instead.
+
+The walks run on code words (see mealy.Core): a public function encodes its
+word once with _encode_word, steps codes with _step_word, and decodes only
+what it returns.
 """
 
 from collections import deque
+import itertools
 
 from .errors import (
     AlphabetMismatch,
@@ -113,42 +118,76 @@ def parse_word(text, aut: MealyAutomaton = None) -> GroupWord:
     With an automaton, tokens must name states and sink letters are deleted
     (the sink is the identity).  Without one, tokens are taken as given.
     """
+    if aut is not None:
+        return as_group_word(aut, text)
     letters = []
     for token in text.split():
         if token.endswith("^-1"):
-            name, sign = token[:-3], -1
+            letters.append((token[:-3], -1))
         else:
-            name, sign = token, 1
-        if aut is not None:
-            if name not in aut._sidx and token in aut._sidx:
-                name, sign = token, 1
-            if name not in aut._sidx:
-                raise UnknownGenerator("unknown generator %r" % name)
-            if name == aut.sink:
-                continue
-        letters.append((name, sign))
+            letters.append((token, 1))
     return GroupWord(letters)
+
+
+def _encode_word(aut: MealyAutomaton, w):
+    """The code word of w (see mealy.Core): validated, sink-free and freely reduced.
+
+    Takes a string, a GroupWord, or a sequence of (state, +-1) letters and
+    bare states, in one pass with one table lookup per letter.
+    """
+    core = aut.core()
+    if isinstance(w, str):
+        table, items = core.tokens, w.split()
+    else:
+        table, items = core.codes, w.letters if isinstance(w, GroupWord) else w
+    stack = []
+    for item in items:
+        c = table.get(item)
+        if c is None:
+            if table is core.tokens:
+                raise UnknownGenerator("unknown generator %r"
+                                       % (item[:-3] if item.endswith("^-1") else item))
+            c = _bare_state_code(core, item)
+        if c:
+            if stack and stack[-1] == -c:
+                stack.pop()
+            else:
+                stack.append(c)
+    return tuple(stack)
+
+
+def _bare_state_code(core, item):
+    """Code of an item that is not a (state, +-1) letter: a bare state, or UnknownGenerator."""
+    if isinstance(item, tuple) and len(item) == 2 and item[1] in (1, -1):
+        raise UnknownGenerator("unknown generator %r" % (item[0],))
+    c = core.codes.get((item, 1))
+    if c is None:
+        raise UnknownGenerator("unknown generator %r" % (item,))
+    return c
+
+
+def _decode_word(aut: MealyAutomaton, word) -> GroupWord:
+    return GroupWord._reduced(tuple(map(aut.core().letters.__getitem__, word)))
+
+
+def _inverse(word):
+    return tuple(-c for c in reversed(word))
+
+
+def _product(u, v):
+    """Freely reduced product of two reduced code words."""
+    if not u or not v or u[-1] != -v[0]:
+        return u + v
+    n = min(len(u), len(v))
+    i = 1
+    while i < n and u[-1 - i] == -v[i]:
+        i += 1
+    return u[:len(u) - i] + v[i:]
 
 
 def as_group_word(aut: MealyAutomaton, w) -> GroupWord:
     """Coerce strings, token sequences or GroupWords; deletes sink letters."""
-    if isinstance(w, str):
-        return parse_word(w, aut)
-    if isinstance(w, GroupWord):
-        letters = w.letters
-    else:
-        letters = []
-        for item in w:
-            if isinstance(item, tuple) and len(item) == 2 and item[1] in (1, -1):
-                letters.append(item)
-            else:
-                letters.append((item, 1))
-    for g, _ in letters:
-        if g not in aut._sidx:
-            raise UnknownGenerator("unknown generator %r" % (g,))
-    if aut.sink is not None:
-        letters = [(g, s) for g, s in letters if g != aut.sink]
-    return GroupWord(letters)
+    return _decode_word(aut, _encode_word(aut, w))
 
 
 def reduce_word(aut: MealyAutomaton, w) -> GroupWord:
@@ -156,65 +195,70 @@ def reduce_word(aut: MealyAutomaton, w) -> GroupWord:
     return as_group_word(aut, w)
 
 
-def level_word(aut: MealyAutomaton, u):
-    """Coerce an input word over the alphabet to a tuple of letters."""
+def _letter_indices(aut: MealyAutomaton, u):
+    """Alphabet indices of an input word given as a string or a sequence of letters."""
     if isinstance(u, str):
-        u = tuple(u.split())
-    else:
-        u = tuple(u)
+        u = u.split()
+    aidx = aut._aidx
+    out = []
     for x in u:
-        if x not in aut._aidx:
+        i = aidx.get(x)
+        if i is None:
             raise AlphabetMismatch("letter %r is not in the alphabet" % (x,))
-    return u
+        out.append(i)
+    return tuple(out)
 
 
-def _require_invertible_for(aut, letters):
-    if not aut.invertible and any(s < 0 for _, s in letters):
+def _require_invertible_for(aut, word):
+    if not aut.invertible and any(c < 0 for c in word):
         raise NotInvertible("inverse letters need an invertible automaton")
 
 
-def _step_word(aut, letters, x):
-    """One input letter through a reduced word: (image letter, residual letters)."""
-    sink = aut.sink
-    nxt = aut._next
-    out = aut._out
-    y = x
+def _step_word(rows, word, x):
+    """One input letter through a reduced code word: (image letter, residual code word).
+
+    `rows` are the tables of mealy.Core; letters are alphabet indices.
+    """
     stack = []
-    for g, s in letters:
-        if s > 0:
-            r = nxt[(g, y)]
-            y = out[(g, y)]
-        else:
-            y = aut.out_inverse(g, y)
-            r = nxt[(g, y)]
-        if r == sink:
-            continue
-        if stack and stack[-1][0] == r and stack[-1][1] == -s:
-            stack.pop()
-        else:
-            stack.append((r, s))
-    return y, tuple(stack)
+    for c in word:
+        x, r = rows[c][x]
+        if r:
+            if stack and stack[-1] == -r:
+                stack.pop()
+            else:
+                stack.append(r)
+    return x, tuple(stack)
+
+
+def _restrict(rows, word, u):
+    """Residual code word of `word` past the letter indices `u`."""
+    for x in u:
+        _, word = _step_word(rows, word, x)
+    return word
+
+
+def _public_word(aut, w):
+    """Encode w and require an invertible machine for inverse letters."""
+    word = _encode_word(aut, w)
+    _require_invertible_for(aut, word)
+    return word
 
 
 def apply_word(aut: MealyAutomaton, w, u):
     """Image of the input word u under the action of w; same length as u."""
-    letters = as_group_word(aut, w).letters
-    _require_invertible_for(aut, letters)
-    u = level_word(aut, u)
+    word = _public_word(aut, w)
+    rows, alphabet = aut.core().rows, aut.alphabet
     images = []
-    for x in u:
-        y, letters = _step_word(aut, letters, x)
-        images.append(y)
+    for x in _letter_indices(aut, u):
+        y, word = _step_word(rows, word, x)
+        images.append(alphabet[y])
     return tuple(images)
 
 
 def restrict_word(aut: MealyAutomaton, w, u) -> GroupWord:
     """Residual of w past the input word u, freely reduced and sink-free."""
-    letters = as_group_word(aut, w).letters
-    _require_invertible_for(aut, letters)
-    for x in level_word(aut, u):
-        _, letters = _step_word(aut, letters, x)
-    return GroupWord._reduced(letters)
+    word = _public_word(aut, w)
+    return _decode_word(aut, _restrict(aut.core().rows, word, _letter_indices(aut, u)))
 
 
 class SelfSimilarRep:
@@ -235,20 +279,20 @@ class SelfSimilarRep:
 
 
 def wreath(aut: MealyAutomaton, w) -> SelfSimilarRep:
-    letters = as_group_word(aut, w).letters
-    _require_invertible_for(aut, letters)
+    word = _public_word(aut, w)
+    rows, alphabet = aut.core().rows, aut.alphabet
     perm, sections = {}, {}
-    for x in aut.alphabet:
-        y, res = _step_word(aut, letters, x)
-        perm[x] = y
-        sections[x] = GroupWord._reduced(res)
+    for x, letter in enumerate(alphabet):
+        y, res = _step_word(rows, word, x)
+        perm[letter] = alphabet[y]
+        sections[letter] = _decode_word(aut, res)
     return SelfSimilarRep(perm, sections)
 
 
 def level1_permutation(aut: MealyAutomaton, w) -> dict:
-    letters = as_group_word(aut, w).letters
-    _require_invertible_for(aut, letters)
-    return {x: _step_word(aut, letters, x)[0] for x in aut.alphabet}
+    word = _public_word(aut, w)
+    rows, alphabet = aut.core().rows, aut.alphabet
+    return {letter: alphabet[_step_word(rows, word, x)[0]] for x, letter in enumerate(alphabet)}
 
 
 def check_level_cap(aut: MealyAutomaton, k: int, cap=None):
@@ -268,33 +312,31 @@ def stabilizes_level(aut: MealyAutomaton, w, k: int, cap=None) -> bool:
     if k < 0:
         raise LevelTooLarge("level must be >= 0")
     check_level_cap(aut, k, cap)
-    letters = as_group_word(aut, w).letters
-    _require_invertible_for(aut, letters)
-    return _level_walk(aut, letters, k, aut._cache.setdefault("stab", {}), False)
+    return _level_walk(aut, _public_word(aut, w), k, aut._cache.setdefault("stab", {}), False)
 
 
-def _level_walk(aut, letters, k, memo, empty_leaves):
-    """True iff the word fixes every letter down to depth k, walked over residuals.
+def _level_walk(aut, word, k, memo, empty_leaves):
+    """True iff the code word fixes every letter down to depth k, walked over residuals.
 
     With `empty_leaves` the depth-k residuals must also be empty.  Distinct
     residuals below one word are walked once, depth first in letter order,
-    and the walk stops at the first failure.  `memo` maps (letters, depth)
+    and the walk stops at the first failure.  `memo` maps (code word, depth)
     to the answer; it stops growing at MEMO_LIMIT entries.  Iterative, so
     only the level cap bounds k.
     """
     if k == 0:
-        return not letters if empty_leaves else True
-    result = memo.get((letters, k))
+        return not word if empty_leaves else True
+    result = memo.get((word, k))
     if result is not None:
         return result
-    alphabet = aut.alphabet
-    stack = [(letters, k, iter(alphabet), set())]
+    rows, letters = aut.core().rows, range(len(aut.alphabet))
+    stack = [(word, k, iter(letters), set())]
     while stack:
         ls, depth, todo, seen = stack[-1]
         if result is not False:          # first visit, or the last child held
             result = True
             for x in todo:
-                y, res = _step_word(aut, ls, x)
+                y, res = _step_word(rows, ls, x)
                 if y != x:
                     result = False
                     break
@@ -306,7 +348,7 @@ def _level_walk(aut, letters, k, memo, empty_leaves):
                 else:
                     result = memo.get((res, depth - 1))
                     if result is None:
-                        stack.append((res, depth - 1, iter(alphabet), set()))
+                        stack.append((res, depth - 1, iter(letters), set()))
                         break
                 if not result:
                     break
@@ -321,24 +363,32 @@ def _level_walk(aut, letters, k, memo, empty_leaves):
 def iter_level_words(aut: MealyAutomaton, k: int, cap=None):
     """All words of length k over the alphabet, in lexicographic letter order."""
     check_level_cap(aut, k, cap)
-    if k == 0:
+    yield from itertools.product(aut.alphabet, repeat=k)
+
+
+def _reduced_words(letters, inverse, max_len, include_empty):
+    """Freely reduced words over `letters`, by length then construction order.
+
+    `inverse` maps each letter to its inverse letter.
+    """
+    if include_empty:
         yield ()
-        return
-    alphabet = aut.alphabet
-    word = [alphabet[0]] * k
-    idx = [0] * k
-    n = len(alphabet)
-    while True:
-        yield tuple(word)
-        pos = k - 1
-        while pos >= 0 and idx[pos] == n - 1:
-            idx[pos] = 0
-            word[pos] = alphabet[0]
-            pos -= 1
-        if pos < 0:
-            return
-        idx[pos] += 1
-        word[pos] = alphabet[idx[pos]]
+    level = [()]
+    for _ in range(max_len):
+        fresh = []
+        for word in level:
+            last_inverse = inverse[word[-1]] if word else None
+            for lt in letters:
+                if lt != last_inverse:
+                    fresh.append(word + (lt,))
+        yield from fresh
+        level = fresh
+
+
+def _reduced_code_words(codes, max_len: int, include_empty: bool = True):
+    """Freely reduced code words over positive codes; letter order c1, -c1, c2, -c2, ..."""
+    letters = [c for code in codes for c in (code, -code)]
+    return _reduced_words(letters, {c: -c for c in letters}, max_len, include_empty)
 
 
 def iter_reduced_words(generators, max_len: int, include_empty: bool = True):
@@ -346,24 +396,9 @@ def iter_reduced_words(generators, max_len: int, include_empty: bool = True):
 
     The letter order interleaves signs: g1, g1^-1, g2, g2^-1, ...
     """
-    letters = []
-    for g in generators:
-        letters.append((g, 1))
-        letters.append((g, -1))
-    if include_empty:
-        yield ()
-    level = [()]
-    for _ in range(max_len):
-        fresh = []
-        for word in level:
-            last = word[-1] if word else None
-            for lt in letters:
-                if last is not None and last[0] == lt[0] and last[1] == -lt[1]:
-                    continue
-                fresh.append(word + (lt,))
-        for word in fresh:
-            yield word
-        level = fresh
+    letters = [(g, s) for g in generators for s in (1, -1)]
+    inverse = {(g, s): (g, -s) for g, s in letters}
+    return _reduced_words(letters, inverse, max_len, include_empty)
 
 
 # -- dual path combinatorics ---------------------------------------------

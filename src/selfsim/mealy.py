@@ -74,7 +74,7 @@ class MealyAutomaton:
     """
 
     __slots__ = ("states", "alphabet", "sink", "invertible",
-                 "_next", "_out", "_sidx", "_aidx", "_cache", "_hash")
+                 "_next", "_out", "_sidx", "_aidx", "_cache", "_hash", "_core")
 
     def __init__(self, states, alphabet, next_map, out_map, sink=None):
         self.states = tuple(states)
@@ -120,6 +120,7 @@ class MealyAutomaton:
         self._aidx = {x: i for i, x in enumerate(self.alphabet)}
         self._cache = {}
         self._hash = None
+        self._core = None
 
     # -- raw access ---------------------------------------------------
 
@@ -130,17 +131,15 @@ class MealyAutomaton:
         return self._out[(state, letter)]
 
     def out_inverse(self, state, letter):
-        """The letter y with out(state, y) == letter; state must be invertible."""
-        inv = self._cache.get("outinv")
-        if inv is None:
-            inv = self._cache["outinv"] = {}
-        row = inv.get(state)
-        if row is None:
-            row = inv[state] = {self._out[(state, x)]: x for x in self.alphabet}
-            if len(row) != len(self.alphabet):
-                raise NotInvertible(
-                    "state %s does not act by a permutation" % symbol_str(state))
-        return row[letter]
+        """The letter y with out(state, y) == letter; the state must act by a permutation."""
+        x, _ = self.core().rows[-(self._sidx[state] + 1)][self._aidx[letter]]
+        return self.alphabet[x]
+
+    def core(self):
+        """The integer transition tables of this machine, built on first use."""
+        if self._core is None:
+            self._core = Core(self)
+        return self._core
 
     def transitions(self):
         """Yield (state, letter, next, out) in declaration order."""
@@ -180,6 +179,65 @@ class MealyAutomaton:
         return "MealyAutomaton(%d states, %d letters%s)" % (
             len(self.states), len(self.alphabet),
             ", sink=%s" % symbol_str(self.sink) if self.sink is not None else "")
+
+
+def code_table(positive, negative):
+    """A list indexed by signed codes: positive[i] at i + 1, negative[i] at -(i + 1)."""
+    return [None] + list(positive) + list(reversed(negative))
+
+
+class _NoInverse:
+    """Inverse row of a state whose outputs are not a permutation; reading it raises."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state):
+        self.state = state
+
+    def __getitem__(self, letter):
+        raise NotInvertible("state %s does not act by a permutation" % symbol_str(self.state))
+
+
+class Core:
+    """A machine compiled to integer tables, for stepping code words.
+
+    The letter (i-th state, +1) is the code i + 1 and (i-th state, -1) is
+    -(i + 1); the sink is 0 and never occurs in a code word.  Input letters
+    are alphabet indices.  ``rows[c][x]`` is (image letter, residual code)
+    of the code c at the letter x; negative codes index the inverse rows
+    from the end of the list.  Only a state whose output row is a
+    permutation has an inverse row: reading the inverse row of any other
+    state raises NotInvertible.
+
+    ``letters`` decodes a code to its (state, sign) letter, ``codes`` maps a
+    (state, sign) letter to its code and ``tokens`` a word-syntax token
+    ('s' or 's^-1', string states only) to its code.
+    """
+
+    __slots__ = ("rows", "letters", "codes", "tokens")
+
+    def __init__(self, aut):
+        m = len(aut.alphabet)
+        codes = {}
+        for i, s in enumerate(aut.states):
+            code = 0 if s == aut.sink else i + 1
+            codes[(s, 1)], codes[(s, -1)] = code, -code
+        forward, backward = [], []
+        for s in aut.states:
+            row = tuple((aut._aidx[aut._out[(s, x)]], codes[(aut._next[(s, x)], 1)])
+                        for x in aut.alphabet)
+            back = {y: (x, -r) for x, (y, r) in enumerate(row)}
+            forward.append(row)
+            backward.append(tuple(back[y] for y in range(m)) if len(back) == m
+                            else _NoInverse(s))
+        # a token 'a^-1' means a inverse when a is a state, else the state 'a^-1'
+        named = [s for s in aut.states if isinstance(s, str)]
+        tokens = {s: codes[(s, 1)] for s in named}
+        tokens.update((s + "^-1", codes[(s, -1)]) for s in named)
+        self.rows = code_table(forward, backward)
+        self.letters = code_table([(s, 1) for s in aut.states], [(s, -1) for s in aut.states])
+        self.codes = codes
+        self.tokens = tokens
 
 
 def make_automaton(states, alphabet, transitions, sink=None) -> MealyAutomaton:

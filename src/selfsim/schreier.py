@@ -11,11 +11,11 @@ yields an invertible transducer whose state g maps coset p to p.g.
 from collections import deque
 from dataclasses import dataclass
 
-from .action import iter_reduced_words
+from .action import _reduced_code_words
 from .errors import BadAction, BadAssignment, FormatError, LevelTooLarge
 from .graphgroup import SINK_NAME
 from .limits import DEFAULT_LEVEL_CAP
-from .mealy import MealyAutomaton, content_lines, enriched_dual, inverse_symbol
+from .mealy import MealyAutomaton, code_table, content_lines, enriched_dual, inverse_symbol
 
 
 class FiniteAction:
@@ -213,23 +213,25 @@ def verify_loop_shortening(aut: MealyAutomaton, max_len: int, cap=None) -> LoopR
     total = sum((2 * len(gens)) ** n for n in range(1, max_len + 1))
     if total * len(ed.states) > cap:
         raise LevelTooLarge("loop sweep would walk %d words" % (total * len(ed.states)))
-    erasable = {aut.sink, inverse_symbol(aut.sink)}
+    # walk the enriched dual's integer tables: its states (the cosets) are
+    # the codes 1..n, and it has no sink
+    rows, aidx = ed.core().rows, ed._aidx
+    token = code_table([aidx[g] for g in gens], [aidx[inverse_symbol(g)] for g in gens])
+    letter = code_table([(g, 1) for g in gens], [(g, -1) for g in gens])
+    erasable = {aidx.get(aut.sink), aidx.get(inverse_symbol(aut.sink))}
     violations = []
     checked = 0
-    for word in iter_reduced_words(gens, max_len, include_empty=False):
-        tokens = [g if s > 0 else inverse_symbol(g) for g, s in word]
-        for q in ed.states:
+    for word in _reduced_code_words(range(1, len(gens) + 1), max_len, include_empty=False):
+        tokens = [token[c] for c in word]
+        for q in range(1, len(ed.states) + 1):
             checked += 1
-            v = q
-            outputs = []
-            for tok in tokens:
-                outputs.append(ed.out(v, tok))
-                v = ed.next(v, tok)
-            if v != q:
-                continue
-            erased = [o for o in outputs if o not in erasable]
-            if len(erased) >= len(word):
-                violations.append((q, word))
+            v, kept = q, 0
+            for t in tokens:
+                y, v = rows[v][t]
+                if y not in erasable:
+                    kept += 1
+            if v == q and kept >= len(word):
+                violations.append((ed.states[q - 1], tuple(map(letter.__getitem__, word))))
     status = "Pass" if not violations else "Violations"
     return LoopReport(status, tuple(violations), checked)
 
@@ -241,22 +243,20 @@ def verify_loop_shortening(aut: MealyAutomaton, max_len: int, cap=None) -> LoopR
 # a: 1 2 0          (images of 0..degree-1)
 
 def load_action(text: str) -> FiniteAction:
-    degree = None
-    basepoint = 0
+    header = {}
     order = []
     perms = {}
     for lineno, line in content_lines(text):
         fields = line.split()
         keyword = fields[0]
         if keyword in ("degree", "basepoint"):
+            if keyword in header:
+                raise FormatError("line %d: duplicate %s line" % (lineno, keyword))
             try:
-                value = int(fields[1])
-            except (IndexError, ValueError):
+                value, = map(int, fields[1:])
+            except ValueError:
                 raise FormatError("line %d: %s takes one integer" % (lineno, keyword))
-            if keyword == "degree":
-                degree = value
-            else:
-                basepoint = value
+            header[keyword] = value
             continue
         name, sep, rest = line.partition(":")
         if not sep:
@@ -270,13 +270,14 @@ def load_action(text: str) -> FiniteAction:
             raise FormatError("line %d: duplicate generator %r" % (lineno, name))
         order.append(name)
         perms[name] = images
+    degree = header.get("degree")
     if degree is None:
         raise FormatError("action file needs a degree line")
     for name, images in perms.items():
         if len(images) != degree:
             raise FormatError("generator %r lists %d images for degree %d"
                               % (name, len(images), degree))
-    return FiniteAction(order, degree, perms, basepoint=basepoint)
+    return FiniteAction(order, degree, perms, basepoint=header.get("basepoint", 0))
 
 
 def dump_action(action: FiniteAction) -> str:

@@ -176,25 +176,27 @@ def semigroup_eq_via_action(aut: MealyAutomaton, u, v) -> ActionEq:
     the pair space is finite; equal iff every reachable pair agrees on single
     letters.
     """
-    sink = aut.sink
+    core = aut.core()
+    rows, alphabet = core.rows, aut.alphabet
 
-    def erased(word):
-        return tuple((a, 1) for a in positive_state_word(aut, word) if a != sink)
+    def encoded(word):
+        codes = (core.codes[(a, 1)] for a in positive_state_word(aut, word))
+        return tuple(c for c in codes if c)
 
-    start = (erased(u), erased(v))
+    start = (encoded(u), encoded(v))
     seen = {start}
     queue = deque([(start, ())])
     while queue:
         (p, q), prefix = queue.popleft()
-        for x in aut.alphabet:
-            yp, rp = _step_word(aut, p, x)
-            yq, rq = _step_word(aut, q, x)
+        for x, letter in enumerate(alphabet):
+            yp, rp = _step_word(rows, p, x)
+            yq, rq = _step_word(rows, q, x)
             if yp != yq:
-                return ActionEq(False, prefix + (x,))
+                return ActionEq(False, prefix + (letter,))
             pair = (rp, rq)
             if pair not in seen:
                 seen.add(pair)
-                queue.append((pair, prefix + (x,)))
+                queue.append((pair, prefix + (letter,)))
     return ActionEq(True, None)
 
 

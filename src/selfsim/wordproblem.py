@@ -16,16 +16,17 @@ import itertools
 
 from .action import (
     GroupWord,
+    _decode_word,
+    _encode_word,
+    _inverse,
+    _letter_indices,
     _level_walk,
+    _product,
+    _reduced_code_words,
+    _require_invertible_for,
+    _restrict,
     _step_word,
-    as_group_word,
     check_level_cap,
-    free_reduce,
-    iter_level_words,
-    iter_reduced_words,
-    level_word,
-    restrict_word,
-    stabilizes_level,
 )
 from .errors import (
     LevelTooLarge,
@@ -63,22 +64,22 @@ class WpVerdict:
         return self.decision == "Identity"
 
 
-def _closure_scan(aut, letters, stop_on_moved):
-    """Breadth-first walk of the residual graph of `letters`.
+def _closure_scan(aut, word, stop_on_moved):
+    """Breadth-first walk of the residual graph of a code word.
 
-    Returns (witness, visited): witness is a shortest moved input word when
-    `stop_on_moved` and the action is nontrivial, else None; visited lists
-    the reduced residual words in discovery order (complete when no witness
-    was requested or none exists).
+    Returns (witness, visited): witness is a shortest moved input word, as
+    letter indices, when `stop_on_moved` and the action is nontrivial, else
+    None; visited lists the residual code words in discovery order
+    (complete when no witness was returned).
     """
-    alphabet = aut.alphabet
-    seen = {letters}
-    order = [letters]
-    queue = deque([(letters, ())])
+    rows, letters = aut.core().rows, range(len(aut.alphabet))
+    seen = {word}
+    order = [word]
+    queue = deque([(word, ())])
     while queue:
         cur, prefix = queue.popleft()
-        for x in alphabet:
-            y, res = _step_word(aut, cur, x)
+        for x in letters:
+            y, res = _step_word(rows, cur, x)
             if stop_on_moved and y != x:
                 return prefix + (x,), order
             if res not in seen:
@@ -90,21 +91,32 @@ def _closure_scan(aut, letters, stop_on_moved):
 
 def restriction_closure(aut: MealyAutomaton, w):
     """All residuals of w (including w), reduced, in breadth-first order."""
-    letters = as_group_word(aut, w).letters
-    _, order = _closure_scan(aut, letters, False)
-    return tuple(GroupWord._reduced(ls) for ls in order)
+    _, order = _closure_scan(aut, _encode_word(aut, w), False)
+    return tuple(_decode_word(aut, word) for word in order)
 
 
-def _identity_letters(aut, letters) -> tuple:
-    """(is_identity, witness) with memoization on the reduced word."""
-    memo = aut._cache.setdefault("wp", {})
-    hit = memo.get(letters)
-    if hit is None:
-        witness, _ = _closure_scan(aut, letters, True)
-        hit = (witness is None, witness)
+def _verdict(aut, word) -> WpVerdict:
+    """Closure verdict of a code word, memoized on the code word.
+
+    A scan that finds no moved letter has listed the whole closure, which
+    is the Identity certificate.
+    """
+    memo = aut._cache.get("wp")
+    if memo is None:
+        memo = aut._cache["wp"] = {}
+    verdict = memo.get(word)
+    if verdict is None:
+        witness, order = _closure_scan(aut, word, True)
+        if witness is None:
+            cert = tuple(_decode_word(aut, res) for res in order)
+            verdict = WpVerdict("Identity", None, cert, "closure")
+        else:
+            alphabet = aut.alphabet
+            verdict = WpVerdict("NonIdentity", tuple(alphabet[x] for x in witness),
+                                None, "closure")
         if len(memo) < MEMO_LIMIT:
-            memo[letters] = hit
-    return hit
+            memo[word] = verdict
+    return verdict
 
 
 def is_identity(aut: MealyAutomaton, w) -> WpVerdict:
@@ -114,19 +126,13 @@ def is_identity(aut: MealyAutomaton, w) -> WpVerdict:
     shortest moved word, found breadth-first over input prefixes, is
     reported as witness.
     """
-    letters = as_group_word(aut, w).letters
-    identity, witness = _identity_letters(aut, letters)
-    if identity:
-        cert = restriction_closure(aut, GroupWord._reduced(letters))
-        return WpVerdict("Identity", None, cert, "closure")
-    return WpVerdict("NonIdentity", witness, None, "closure")
+    return _verdict(aut, _encode_word(aut, w))
 
 
 def elements_equal(aut: MealyAutomaton, u, v) -> bool:
     """Equality in the generated group, decided by the closure engine."""
-    a = as_group_word(aut, u)
-    b = as_group_word(aut, v)
-    return _identity_letters(aut, (a * b.inverse()).letters)[0]
+    a = _encode_word(aut, u)
+    return _verdict(aut, _product(a, _inverse(_encode_word(aut, v)))).identity
 
 
 # -- level-wise membership --------------------------------------------------
@@ -140,8 +146,7 @@ def fragile_member(aut: MealyAutomaton, w, k: int, cap=None) -> bool:
     if k < 1:
         raise LevelTooLarge("membership level must be >= 1")
     check_level_cap(aut, k, cap)
-    letters = as_group_word(aut, w).letters
-    return _level_walk(aut, letters, k, aut._cache.setdefault("fragile", {}), True)
+    return _level_walk(aut, _encode_word(aut, w), k, aut._cache.setdefault("fragile", {}), True)
 
 
 def fragile_index(aut: MealyAutomaton, w, kmax: int, cap=None):
@@ -150,12 +155,25 @@ def fragile_index(aut: MealyAutomaton, w, kmax: int, cap=None):
     Every positive answer is re-checked at k + 1 (memberships are nested),
     when k + 1 fits under the enumeration cap.
     """
+    return _fragile_index(aut, _fragile_word(aut, w, kmax, cap), kmax, cap)
+
+
+def _fragile_word(aut, w, kmax, cap):
+    """Code word of w, after the checks that come before the first level."""
     if kmax < 1:
         raise LevelTooLarge("kmax must be >= 1")
+    check_level_cap(aut, 1, cap)
+    return _encode_word(aut, w)
+
+
+def _fragile_index(aut, word, kmax, cap):
+    memo = aut._cache.setdefault("fragile", {})
     for k in range(1, kmax + 1):
-        if fragile_member(aut, w, k, cap=cap):
+        check_level_cap(aut, k, cap)
+        if _level_walk(aut, word, k, memo, True):
             try:
-                monotone = fragile_member(aut, w, k + 1, cap=cap)
+                check_level_cap(aut, k + 1, cap)
+                monotone = _level_walk(aut, word, k + 1, memo, True)
             except LevelTooLarge:
                 monotone = True
             if not monotone:
@@ -172,42 +190,52 @@ def wp_fragile(aut: MealyAutomaton, w, kmax: int, cap=None) -> WpVerdict:
     carries a moved word when some level <= kmax is not stabilized; if all
     are, the verdict reports exhaustion without a witness.
     """
-    k = fragile_index(aut, w, kmax, cap=cap)
+    word = _fragile_word(aut, w, kmax, cap)
+    k = _fragile_index(aut, word, kmax, cap)
     if k is not None:
         return WpVerdict("Identity", None, (k,), "fragile")
-    letters = as_group_word(aut, w).letters
+    _require_invertible_for(aut, word)
+    memo = aut._cache.setdefault("stab", {})
     for j in range(1, kmax + 1):
-        if not stabilizes_level(aut, GroupWord._reduced(letters), j, cap=cap):
-            witness = _moved_word_at_level(aut, letters, j)
+        check_level_cap(aut, j, cap)
+        if not _level_walk(aut, word, j, memo, False):
+            witness = _moved_word_at_level(aut, word, j)
             return WpVerdict("NonIdentity", witness, None, "fragile")
     return WpVerdict("NonIdentity", None, None, "fragile")
 
 
-def _moved_word_at_level(aut, letters, k):
-    """Lexicographically first word of length <= k moved by the word."""
+def _moved_word_at_level(aut, word, k):
+    """Lexicographically first word of length <= k moved by the code word."""
+    rows, alphabet = aut.core().rows, aut.alphabet
+
     def rec(ls, prefix):
         if len(prefix) == k:
             return None
-        for x in aut.alphabet:
-            y, res = _step_word(aut, ls, x)
+        for x, letter in enumerate(alphabet):
+            y, res = _step_word(rows, ls, x)
             if y != x:
-                return prefix + (x,)
-            found = rec(res, prefix + (x,))
+                return prefix + (letter,)
+            found = rec(res, prefix + (letter,))
             if found is not None:
                 return found
         return None
 
-    return rec(letters, ())
+    return rec(word, ())
+
+
+def _require_stabilizes(aut, word, k, cap=None):
+    check_level_cap(aut, k, cap)
+    _require_invertible_for(aut, word)
+    if not _level_walk(aut, word, k, aut._cache.setdefault("stab", {}), False):
+        raise NotInStabilizer("word does not stabilize level %d" % k)
 
 
 def virtual_endo(aut: MealyAutomaton, u, w) -> GroupWord:
     """Erased residual of w at the level word u; w must stabilize level |u|."""
-    u = level_word(aut, u)
-    word = as_group_word(aut, w)
-    if not stabilizes_level(aut, word, len(u)):
-        raise NotInStabilizer(
-            "word does not stabilize level %d" % len(u))
-    return restrict_word(aut, word, u)
+    u = _letter_indices(aut, u)
+    word = _encode_word(aut, w)
+    _require_stabilizes(aut, word, len(u))
+    return _decode_word(aut, _restrict(aut.core().rows, word, u))
 
 
 def embed_in_product(aut: MealyAutomaton, w, k: int, cap=None):
@@ -215,10 +243,11 @@ def embed_in_product(aut: MealyAutomaton, w, k: int, cap=None):
     if k < 1:
         raise LevelTooLarge("embedding level must be >= 1")
     check_level_cap(aut, k, cap)
-    word = as_group_word(aut, w)
-    if not stabilizes_level(aut, word, k, cap=cap):
-        raise NotInStabilizer("word does not stabilize level %d" % k)
-    return {u: restrict_word(aut, word, u) for u in iter_level_words(aut, k, cap=cap)}
+    word = _encode_word(aut, w)
+    _require_stabilizes(aut, word, k, cap)
+    rows, alphabet = aut.core().rows, aut.alphabet
+    return {tuple(alphabet[x] for x in u): _decode_word(aut, _restrict(rows, word, u))
+            for u in itertools.product(range(len(alphabet)), repeat=k)}
 
 
 def is_identity_in_Gk(aut: MealyAutomaton, w, k: int, cap=None) -> bool:
@@ -268,17 +297,26 @@ class Nucleus:
         return "Nucleus(%s)" % ", ".join(str(w) for w in self.elements)
 
 
-def _lex_key(aut, letters):
-    return tuple((aut.state_index(g), 0 if s > 0 else 1) for g, s in letters)
+def _gen_codes(aut):
+    """Positive codes of the non-sink states, in state order."""
+    return [i + 1 for i, s in enumerate(aut.states) if s != aut.sink]
+
+
+def _lex_key(word):
+    return tuple((abs(c), c < 0) for c in word)
 
 
 def shortest_representative(aut: MealyAutomaton, w, max_len: int):
     """First reduced word equal to w in the group, by length then letter order."""
-    target = as_group_word(aut, w)
-    gens = [s for s in aut.states if s != aut.sink]
-    for ls in iter_reduced_words(gens, max_len):
-        if _identity_letters(aut, (GroupWord._reduced(ls) * target.inverse()).letters)[0]:
-            return GroupWord._reduced(ls)
+    found = _shortest(aut, _encode_word(aut, w), max_len)
+    return None if found is None else _decode_word(aut, found)
+
+
+def _shortest(aut, word, max_len):
+    inv = _inverse(word)
+    for candidate in _reduced_code_words(_gen_codes(aut), max_len):
+        if _verdict(aut, _product(candidate, inv)).identity:
+            return candidate
     return None
 
 
@@ -295,6 +333,7 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
         raise NotInvertible("nucleus needs an invertible automaton")
     depth_cap = DEFAULT_NUCLEUS_DEPTH if depth_cap is None else depth_cap
     size_cap = DEFAULT_NUCLEUS_SIZE if size_cap is None else size_cap
+    rows, letters = aut.core().rows, range(len(aut.alphabet))
 
     reps = []
     rep_set = set()
@@ -322,8 +361,8 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
 
     # seed: identity, states, inverses, closed under residuals
     add_word(())
-    seeds = [((s, 1),) for s in aut.states if s != aut.sink]
-    seeds += [((s, -1),) for s in aut.states if s != aut.sink]
+    seeds = [(c,) for c in _gen_codes(aut)]
+    seeds += [(-c,) for c, in seeds]
     for seed in seeds:
         _, closure = _closure_scan(aut, seed, False)
         for ls in closure:
@@ -335,7 +374,7 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
         snapshot = list(reps)
         for g in snapshot:
             for h in snapshot:
-                w0 = free_reduce(g + h)
+                w0 = _product(g, h)
                 if find_rep(w0) is not None:
                     continue
                 # residual graph of the product outside the current set
@@ -351,10 +390,7 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
                             "residual chains exceeded depth cap %d" % depth_cap)
                     nxt = []
                     for wl in frontier:
-                        kids = []
-                        for x in aut.alphabet:
-                            _, r = _step_word(aut, wl, x)
-                            kids.append(r)
+                        kids = [_step_word(rows, wl, x)[1] for x in letters]
                         succ[wl] = kids
                         for r in kids:
                             if r in node_set or find_rep(r) is not None:
@@ -367,50 +403,50 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
                 for wl in persistent:
                     if add_word(wl):
                         changed = True
-                    inv = tuple((gg, -ss) for gg, ss in reversed(wl))
-                    if add_word(inv):
+                    if add_word(_inverse(wl)):
                         changed = True
 
     reps_final = []
     for ls in reps:
         best = _improve_rep(aut, ls)
         reps_final.append(best)
-    reps_final.sort(key=lambda ls: (len(ls), _lex_key(aut, ls)))
+    reps_final.sort(key=lambda ls: (len(ls), _lex_key(ls)))
 
+    alphabet = aut.alphabet
     perms, sections = {}, {}
-    by_element = {ls: GroupWord._reduced(ls) for ls in reps_final}
+    by_element = {ls: _decode_word(aut, ls) for ls in reps_final}
     for ls in reps_final:
         rep = by_element[ls]
         perm, secs = {}, {}
-        for x in aut.alphabet:
-            y, res = _step_word(aut, ls, x)
-            perm[x] = y
+        for x in letters:
+            y, res = _step_word(rows, ls, x)
+            perm[alphabet[x]] = alphabet[y]
             target = res if res in by_element else _find_in(aut, res, reps_final)
             if target is None:
                 raise NotContractingWithinCaps(
                     "residual left the computed set; raise the caps")
-            secs[x] = by_element[target]
+            secs[alphabet[x]] = by_element[target]
         perms[rep] = perm
         sections[rep] = secs
     return Nucleus([by_element[ls] for ls in reps_final], perms, sections)
 
 
-def _find_in(aut, letters, reps):
-    inv = tuple((g, -s) for g, s in reversed(letters))
+def _find_in(aut, word, reps):
+    inv = _inverse(word)
     for r in reps:
-        if _identity_letters(aut, free_reduce(r + inv))[0]:
+        if _verdict(aut, _product(r, inv)).identity:
             return r
     return None
 
 
-def _improve_rep(aut, letters):
+def _improve_rep(aut, word):
     """Shortest equal word when the search space is small; otherwise keep."""
-    gens = [s for s in aut.states if s != aut.sink]
-    space = sum((2 * len(gens)) ** n for n in range(len(letters) + 1))
+    gens = _gen_codes(aut)
+    space = sum((2 * len(gens)) ** n for n in range(len(word) + 1))
     if space > 20000:
-        return letters
-    found = shortest_representative(aut, GroupWord._reduced(letters), len(letters))
-    return found.letters if found is not None else letters
+        return word
+    found = _shortest(aut, word, len(word))
+    return found if found is not None else word
 
 
 def _cycle_reachable(nodes, node_set, succ):
@@ -449,18 +485,17 @@ def check_reducible(aut: MealyAutomaton, max_len: int, max_depth: int) -> Reduci
     """
     if not aut.invertible:
         raise NotInvertible("reducibility scan needs an invertible automaton")
-    gens = [s for s in aut.states if s != aut.sink]
-    alphabet = aut.alphabet
+    rows, letters = aut.core().rows, range(len(aut.alphabet))
     unresolved = []
     scanned = 0
     max_chain = 0
 
-    for ls in iter_reduced_words(gens, max_len, include_empty=False):
+    for ls in _reduced_code_words(_gen_codes(aut), max_len, include_empty=False):
         scanned += 1
         target = len(ls)
         first_fixed = None
-        for x in alphabet:
-            if _step_word(aut, ls, x)[0] == x:
+        for x in letters:
+            if _step_word(rows, ls, x)[0] == x:
                 first_fixed = x
                 break
         if first_fixed is None:
@@ -475,8 +510,8 @@ def check_reducible(aut: MealyAutomaton, max_len: int, max_depth: int) -> Reduci
             if depth > max_depth:
                 deep = True
                 return True
-            for x in alphabet:
-                y, r = _step_word(aut, wl, x)
+            for x in letters:
+                y, r = _step_word(rows, wl, x)
                 if y != x or len(r) < target:
                     continue
                 if r in path:
@@ -490,10 +525,10 @@ def check_reducible(aut: MealyAutomaton, max_len: int, max_depth: int) -> Reduci
 
         if not descend(ls, frozenset((ls,)), 0):
             return ReducibilityReport(
-                "Counterexample", (GroupWord._reduced(ls), first_fixed),
+                "Counterexample", (_decode_word(aut, ls), aut.alphabet[first_fixed]),
                 (), scanned, max_chain)
         if deep:
-            unresolved.append(GroupWord._reduced(ls))
+            unresolved.append(_decode_word(aut, ls))
 
     if unresolved:
         return ReducibilityReport("Inconclusive", None, tuple(unresolved), scanned, max_chain)

@@ -57,6 +57,14 @@ CASES = [
     ("embed", ["embed", "--builtin", "fig5_tree", "-w", FIG5_COMM, "-k", "2"], 0),
     ("dichotomy-abelian", ["dichotomy", "--tuples", "abelian.tuples"], 0),
     ("dichotomy-free", ["dichotomy", "--tuples", "free.tuples"], 0),
+    ("wp-closure-identity", ["wp", "--builtin", "fig5_tree", "-w", FIG5_COMM], 0),
+    ("wp-closure-nonidentity", ["wp", "--builtin", "star3", "-w", STAR_COMM], 0),
+    ("check-reducible-pass",
+     ["check-reducible", "--builtin", "star3", "--max-len", "3", "--max-depth", "8"], 0),
+    ("check-reducible-counterexample",
+     ["check-reducible", "--builtin", "non_reducible_demo", "--max-len", "3",
+      "--max-depth", "6"], 0),
+    ("nucleus-fig5", ["nucleus", "--builtin", "fig5_tree"], 0),
 ]
 
 

@@ -94,3 +94,27 @@ def test_loaders_share_the_tokenizer():
     graph = load_graph("# path\n\nvertices: 1 2 3 # all\ne1 1 2\n  \ne2 2 3 # last\n")
     assert [e.name for e in graph.edges] == ["e1", "e2"]
     assert load_assignment("\n# tree arcs\n0 a a  # keep\n\n") == {(0, "a"): "a"}
+
+
+@pytest.mark.parametrize("text", [
+    "degree 2\nbasepoint 1\ndegree 3 7\nbasepoint 0\na: 1 2 0\n",
+    "degree 3\ndegree 3\na: 1 2 0\n",
+    "degree 3\nbasepoint 1\nbasepoint 0\na: 1 2 0\n",
+], ids=["degree-twice-with-extra-token", "degree-twice", "basepoint-twice"])
+def test_action_header_lines_appear_once(text):
+    with pytest.raises(FormatError, match="duplicate"):
+        load_action(text)
+
+
+@pytest.mark.parametrize("text", [
+    "degree 3 7\na: 1 2 0\n",
+    "degree 3\nbasepoint 1 2\na: 1 2 0\n",
+], ids=["degree", "basepoint"])
+def test_action_header_lines_take_exactly_one_integer(text):
+    with pytest.raises(FormatError, match="takes one integer"):
+        load_action(text)
+
+
+def test_action_header_lines_in_any_order():
+    action = load_action("basepoint 2  # first\ndegree 3\na: 1 2 0\n")
+    assert (action.degree, action.basepoint) == (3, 2)
