@@ -1,11 +1,12 @@
 """Enumeration caps.
 
-Level sweeps, quotient closures and nucleus computations are exact but can
-be asked for absurd sizes; these caps turn runaway requests into errors
-instead of hangs.  The CLI reads SELFSIM_CAPS to raise them: either a bare
-integer (level cap) or comma separated pairs like
+Level sweeps, level-one quotients, machine powers and nucleus computations
+are exact but can be asked for absurd sizes; these caps turn runaway
+requests into errors instead of hangs.  The CLI reads SELFSIM_CAPS to raise
+them: either a bare integer (level cap) or comma separated pairs like
 ``level=2000000,quotient=9,nucleus-depth=64,nucleus-size=1024``.  Every cap
-is a positive integer.
+is a positive integer.  MEMO_LIMIT and MAX_POWER_STATES are plain constants
+with no SELFSIM_CAPS key.
 """
 
 import os
@@ -13,10 +14,12 @@ import os
 from .errors import FormatError
 
 DEFAULT_LEVEL_CAP = 10 ** 6      # max |X|**k entries in a level enumeration
-DEFAULT_QUOTIENT_CAP = 8         # max |X| for the symmetric quotient closure
+DEFAULT_QUOTIENT_CAP = 8         # max |X| for the level-one quotient order; gates the
+                                 # alphabet size only, no closure is enumerated
 DEFAULT_NUCLEUS_DEPTH = 64       # max breadth-first levels per pair product
 DEFAULT_NUCLEUS_SIZE = 512       # max number of nucleus elements
 MEMO_LIMIT = 300_000             # max entries kept in each per-automaton memo
+MAX_POWER_STATES = 10 ** 6       # max states of mealy.power's n-th power machine
 
 _KEYS = {
     "level": "level_cap",

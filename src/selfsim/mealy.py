@@ -24,8 +24,7 @@ from .errors import (
     NoSink,
     NotInvertible,
 )
-
-_MAX_POWER_STATES = 10 ** 6
+from .limits import MAX_POWER_STATES
 
 
 class _Tag:
@@ -333,7 +332,7 @@ def power(aut: MealyAutomaton, n: int) -> MealyAutomaton:
     """n-th power: states are n-tuples, the first coordinate consumes the input first."""
     if not isinstance(n, int) or n < 1:
         raise BadPower("power requires an integer n >= 1, got %r" % (n,))
-    if len(aut.states) ** n > _MAX_POWER_STATES:
+    if len(aut.states) ** n > MAX_POWER_STATES:
         raise BadPower("power automaton would have %d^%d states" % (len(aut.states), n))
     states = tuple(itertools.product(aut.states, repeat=n))
     next_map, out_map = {}, {}

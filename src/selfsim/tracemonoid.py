@@ -9,6 +9,7 @@ an exact action-equality oracle over the residual pair graph.
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .action import _step_word, positive_state_word
@@ -30,10 +31,12 @@ class TracePresentation:
 
     `independent` holds the unordered pairs of distinct letters allowed to
     swap; the identity letter is erased, never swapped.  The letter order is
-    the declaration order and fixes the normal form.
+    the declaration order and fixes the normal form.  `_dependent` maps each
+    non-identity letter to the letters that do not commute with it, itself
+    included.
     """
 
-    __slots__ = ("letters", "sink", "independent", "_order")
+    __slots__ = ("letters", "sink", "independent", "_order", "_dependent")
 
     def __init__(self, letters, independent, sink="id"):
         self.letters = tuple(letters)
@@ -51,6 +54,10 @@ class TracePresentation:
             pairs.add(frozenset((a, b)))
         self.independent = frozenset(pairs)
         self._order = {x: i for i, x in enumerate(self.letters)}
+        self._dependent = {
+            a: tuple(b for b in self.letters
+                     if b != sink and frozenset((a, b)) not in self.independent)
+            for a in self.letters if a != sink}
 
     def independent_pair(self, a, b) -> bool:
         return frozenset((a, b)) in self.independent
@@ -118,19 +125,40 @@ def rewrite_step(u: TraceWord):
 def normal_form(u: TraceWord) -> TraceWord:
     """Lexicographically least equivalent word.
 
-    Greedy: repeatedly emit the smallest letter whose predecessors in the
-    remaining word all commute with it.
+    The least linear extension of the dependence order of the erased word
+    (Anisimov & Knuth, "Inhomogeneous sorting", 1979).  Each position gets
+    an arc from the last earlier occurrence of every letter that does not
+    commute with it, so the arcs number at most |word| times |alphabet| and
+    every dependent earlier position still reaches it.  Positions whose
+    predecessors are all emitted wait in a heap keyed by (letter order,
+    position), and the least one is emitted next: the same word as
+    repeatedly emitting the smallest letter that commutes with everything
+    before it.  Two occurrences of one letter are dependent, so the heap
+    never holds two equal letter orders.
     """
     pres = u.pres
-    remaining = list(u.erased())
+    order, dependent = pres._order, pres._dependent
+    letters = u.erased()
+    last = {}
+    succ = [[] for _ in letters]
+    waiting = [0] * len(letters)
+    for i, x in enumerate(letters):
+        for b in dependent[x]:
+            j = last.get(b)
+            if j is not None:
+                succ[j].append(i)
+                waiting[i] += 1
+        last[x] = i
+    heap = [(order[x], i) for i, x in enumerate(letters) if not waiting[i]]
+    heapify(heap)
     out = []
-    while remaining:
-        best = None
-        for i, x in enumerate(remaining):
-            if all(pres.independent_pair(y, x) for y in remaining[:i]):
-                if best is None or pres.order(x) < pres.order(remaining[best]):
-                    best = i
-        out.append(remaining.pop(best))
+    while heap:
+        _, i = heappop(heap)
+        out.append(letters[i])
+        for j in succ[i]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                heappush(heap, (order[letters[j]], j))
     return TraceWord(pres, tuple(out))
 
 

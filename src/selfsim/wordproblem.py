@@ -552,17 +552,56 @@ def sym_quotient_order(aut: MealyAutomaton, cap=None) -> int:
         perm = tuple(idx[aut.out(s, x)] for x in aut.alphabet)
         if perm not in gens:
             gens.append(perm)
+    return _sims_order(n, gens)
+
+
+def _sims_order(n: int, gens) -> int:
+    """Order of the group that permutation tuples on range(n) generate.
+
+    Knuth's form of Schreier-Sims (Knuth, "Efficient representation of perm
+    groups", Combinatorica 1991) with base 0..n-1: ``table[k][j]`` holds a
+    group element that fixes 0..k-1 and sends k to j, with its inverse, and
+    ``strong[k]`` the generators added at level k.  An explicit stack runs
+    Knuth's two mutually recursive procedures in their recursive order: an
+    "add" sifts an element from level k and, if it is new, makes it a strong
+    generator and forms its products with the level's transversal; an
+    "orbit" step records a new transversal element, or passes its Schreier
+    generator down to level k + 1.  The order is the product of the
+    transversal sizes.
+    """
     identity = tuple(range(n))
-    seen = {identity}
-    queue = deque([identity])
-    while queue:
-        p = queue.popleft()
-        for g in gens:
-            q = tuple(g[p[i]] for i in range(n))
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return len(seen)
+    table = [{k: (identity, identity)} for k in range(n)]
+    strong = [[] for _ in range(n)]
+    stack = [(True, 0, g) for g in reversed(gens)]
+    while stack:
+        add, k, p = stack.pop()
+        if add:
+            q, level = p, k
+            while level < n and q[level] in table[level]:
+                inv = table[level][q[level]][1]
+                q = tuple(inv[y] for y in q)
+                level += 1
+            if level == n:
+                continue
+            strong[k].append(p)
+            stack.extend((False, k, tuple(p[y] for y in t))
+                         for t, _ in reversed(table[k].values()))
+            continue
+        j = p[k]
+        if j in table[k]:
+            if k + 1 < n:
+                inv = table[k][j][1]
+                stack.append((True, k + 1, tuple(inv[y] for y in p)))
+            continue
+        inverse = [0] * n
+        for x, y in enumerate(p):
+            inverse[y] = x
+        table[k][j] = (p, tuple(inverse))
+        stack.extend((False, k, tuple(s[y] for y in p)) for s in reversed(strong[k]))
+    order = 1
+    for level in table:
+        order *= len(level)
+    return order
 
 
 # -- dichotomy ---------------------------------------------------------------------

@@ -17,6 +17,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 FIG5_COMM = "e2 e4 e2^-1 e4^-1"
 STAR_COMM = "a b a^-1 b^-1"
+FIG5_TRACE = ("e3 e3 e5 e2 e3 e2 e4 e4 e3 e1 e1 id e2 e2 e4 e1 e2 id e1 e4 id e2 e2 e3 "
+              "e5 id id e2 e5 e5 e5 e5 e1 e5 e5 e1 e3 e2 e1 e5 e2 e3 e2 e5 e3 e1 e2 e2 "
+              "id e3 e2 id e2 e5 id e1 e5 e3 e4 e3 e4 e1 e5 id")
 
 CASES = [
     ("nucleus-basilica", ["nucleus", "--builtin", "basilica"], 0),
@@ -65,6 +68,10 @@ CASES = [
      ["check-reducible", "--builtin", "non_reducible_demo", "--max-len", "3",
       "--max-depth", "6"], 0),
     ("nucleus-fig5", ["nucleus", "--builtin", "fig5_tree"], 0),
+    ("sym-quotient-fig5", ["sym-quotient", "--builtin", "fig5_tree"], 0),
+    ("sym-quotient-cycle8", ["sym-quotient", "--builtin", "cycle_8"], 0),
+    ("sym-quotient-cycle9-cap", ["sym-quotient", "--builtin", "cycle_9"], 1),
+    ("trace-nf-fig5-long", ["trace-nf", "--builtin", "fig5_tree", "-u", FIG5_TRACE], 0),
 ]
 
 
