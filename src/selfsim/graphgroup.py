@@ -274,9 +274,22 @@ def _non_reducible_demo():
         sink=SINK_NAME)
 
 
+def _aleshin():
+    # a = (c, b) and b = (b, c) followed by the swap, c = (a, a) with no swap;
+    # free of rank 3 and not contracting (Vorobets & Vorobets, Geom. Dedicata 2007)
+    return make_automaton(
+        ("a", "b", "c"), ("0", "1"),
+        [("a", "0", "c", "1"),
+         ("a", "1", "b", "0"),
+         ("b", "0", "b", "1"),
+         ("b", "1", "c", "0"),
+         ("c", "0", "a", "0"),
+         ("c", "1", "a", "1")])
+
+
 BUILTIN_NAMES = (
     "star3", "fig5_tree", "path_<n>", "cycle_<n>", "triangle_acyclic",
-    "triangle_cyclic", "adding_machine", "basilica", "non_reducible_demo",
+    "triangle_cyclic", "adding_machine", "basilica", "non_reducible_demo", "aleshin",
 )
 
 
@@ -296,6 +309,8 @@ def builtin(name: str):
         return _basilica()
     if name == "non_reducible_demo":
         return _non_reducible_demo()
+    if name == "aleshin":
+        return _aleshin()
     m = re.fullmatch(r"path_(\d+)", name)
     if m:
         return _path(int(m.group(1)))

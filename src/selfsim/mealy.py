@@ -486,29 +486,32 @@ def bisimulation_classes(aut: MealyAutomaton):
     Returned as a tuple of tuples of states; classes and members follow the
     state declaration order.
     """
-    block = {}
-    sig_ids = {}
-    for s in aut.states:
-        sig = tuple(aut.out(s, x) for x in aut.alphabet)
-        if sig not in sig_ids:
-            sig_ids[sig] = len(sig_ids)
-        block[s] = sig_ids[sig]
-    while True:
-        fresh_ids = {}
-        fresh = {}
-        for s in aut.states:
-            sig = (block[s], tuple(block[aut.next(s, x)] for x in aut.alphabet))
-            if sig not in fresh_ids:
-                fresh_ids[sig] = len(fresh_ids)
-            fresh[s] = fresh_ids[sig]
-        if fresh == block:
-            break
-        block = fresh
+    idx = aut._sidx
+    block = _refine_partition(
+        [tuple(aut.out(s, x) for x in aut.alphabet) for s in aut.states],
+        [[idx[aut.next(s, x)] for x in aut.alphabet] for s in aut.states])
     groups = {}
-    for s in aut.states:
-        groups.setdefault(block[s], []).append(s)
-    ordered = sorted(groups.values(), key=lambda g: aut.state_index(g[0]))
-    return tuple(tuple(g) for g in ordered)
+    for s, b in zip(aut.states, block):
+        groups.setdefault(b, []).append(s)
+    return tuple(tuple(g) for g in groups.values())
+
+
+def _refine_partition(outputs, succ):
+    """Coarsest partition of 0..n-1 with equal outputs and equal successor blocks.
+
+    Moore refinement: the blocks start as the classes of equal `outputs[i]`
+    and are split by the blocks of the successors `succ[i]` until their
+    number stops changing.  Returns the block of each index; blocks are
+    numbered in order of first occurrence.
+    """
+    ids = {}
+    block = [ids.setdefault(out, len(ids)) for out in outputs]
+    while True:
+        count, ids = len(ids), {}
+        block = [ids.setdefault((b, tuple(block[j] for j in kids)), len(ids))
+                 for b, kids in zip(block, succ)]
+        if len(ids) == count:
+            return block
 
 
 def bisimulation_quotient(aut: MealyAutomaton) -> MealyAutomaton:

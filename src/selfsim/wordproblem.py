@@ -43,7 +43,7 @@ from .limits import (
     DEFAULT_QUOTIENT_CAP,
     MEMO_LIMIT,
 )
-from .mealy import MealyAutomaton, _cyclic_components
+from .mealy import MealyAutomaton, _cyclic_components, _refine_partition
 
 
 @dataclass(frozen=True)
@@ -308,16 +308,100 @@ def _lex_key(word):
 
 def shortest_representative(aut: MealyAutomaton, w, max_len: int):
     """First reduced word equal to w in the group, by length then letter order."""
-    found = _shortest(aut, _encode_word(aut, w), max_len)
+    if not aut.invertible:
+        raise NotInvertible("shortest representative needs an invertible automaton")
+    key = _element_key(aut, _encode_word(aut, w))
+    found = _first_words(aut, {key}, max_len).get(key)
     return None if found is None else _decode_word(aut, found)
 
 
-def _shortest(aut, word, max_len):
-    inv = _inverse(word)
-    for candidate in _reduced_code_words(_gen_codes(aut), max_len):
-        if _verdict(aut, _product(candidate, inv)).identity:
-            return candidate
-    return None
+def _element_key(aut, word):
+    """Canonical key of the element a code word acts as: its minimal portrait.
+
+    One breadth-first pass over the residual closure, in letter order,
+    lists each residual's level-one permutation and the indices of its
+    successors.  Moore partition refinement (mealy._refine_partition) merges
+    equal residuals: the classes start as the permutation classes and are
+    split by successor classes until their number stops changing.  Classes
+    are numbered by first occurrence in discovery order, which is the
+    breadth-first order of the minimal machine from its root.  The key
+    lists the classes in that order, each as its permutation followed by
+    its successors' numbers, in one flat tuple of ints whose first |X|
+    entries are the root's permutation; so it is the same for every word of
+    the element.  The group acts faithfully on the tree, so equal keys mean
+    equal elements.  Memoized per code word in the `key` memo, which stops
+    growing at MEMO_LIMIT entries.
+    """
+    memo = aut._cache.get("key")
+    if memo is None:
+        memo = aut._cache["key"] = {}
+    key = memo.get(word)
+    if key is not None:
+        return key
+    rows, letters = aut.core().rows, range(len(aut.alphabet))
+    index = {word: 0}
+    order = [word]
+    perms, succ = [], []
+    for cur in order:
+        perm, kids = [], []
+        for x in letters:
+            y, res = _step_word(rows, cur, x)
+            j = index.get(res)
+            if j is None:
+                j = index[res] = len(order)
+                order.append(res)
+            perm.append(y)
+            kids.append(j)
+        perms.append(tuple(perm))
+        succ.append(kids)
+    block = _refine_partition(perms, succ)
+    key, numbered = [], 0
+    for i, b in enumerate(block):
+        if b == numbered:
+            key += perms[i]
+            key += [block[j] for j in succ[i]]
+            numbered += 1
+    key = tuple(key)
+    if len(memo) < MEMO_LIMIT:
+        memo[word] = key
+    return key
+
+
+def _first_words(aut, keys, max_len):
+    """Shortlex-first reduced code word of length <= max_len for each element key.
+
+    One sweep over the reduced words, stopped once every key is found.  A
+    candidate is keyed only when its level-one permutation, the first |X|
+    entries of a key, is that of a key still wanted; the permutation is composed
+    from the candidate's prefix, which the sweep met one length earlier.
+    Keys without such a word are missing from the result.  The machine must
+    be invertible.
+    """
+    rows, letters = aut.core().rows, range(len(aut.alphabet))
+    codes = _gen_codes(aut)
+    moves = {c: tuple(rows[c][x][0] for x in letters) for c in codes + [-c for c in codes]}
+    prefix_perms = {(): tuple(letters)}
+    pending = set(keys)
+    found = {}
+    perms = {key[:len(letters)] for key in pending}
+    for candidate in _reduced_code_words(codes, max_len):
+        if not pending:
+            break
+        if candidate:
+            move = moves[candidate[-1]]
+            perm = tuple(move[y] for y in prefix_perms[candidate[:-1]])
+            if len(candidate) < max_len:
+                prefix_perms[candidate] = perm
+        else:
+            perm = prefix_perms[()]
+        if perm not in perms:
+            continue
+        key = _element_key(aut, candidate)
+        if key in pending:
+            pending.remove(key)
+            found[key] = candidate
+            perms = {key[:len(letters)] for key in pending}
+    return found
 
 
 def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
@@ -326,8 +410,8 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     Seeded with the states and their inverses closed under residuals; then,
     for every pair product, residual chains are followed until they re-enter
     the set, and the recurring elements (those on or past a residual cycle)
-    are adjoined.  Caps turn non-stabilization into an error instead of a
-    hang.
+    are adjoined.  Membership is one lookup of the element key.  Caps turn
+    non-stabilization into an error instead of a hang.
     """
     if not aut.invertible:
         raise NotInvertible("nucleus needs an invertible automaton")
@@ -336,24 +420,17 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     rows, letters = aut.core().rows, range(len(aut.alphabet))
 
     reps = []
-    rep_set = set()
-    member_of = {}
+    rep_of = {}                          # element key -> representative
 
     def find_rep(ls):
-        if ls in rep_set:
-            return ls
-        hit = member_of.get(ls)
-        if hit is None:
-            hit = _find_in(aut, ls, reps)
-            if hit is not None:
-                member_of[ls] = hit
-        return hit
+        return rep_of.get(_element_key(aut, ls))
 
     def add_word(ls):
-        if find_rep(ls) is not None:
+        key = _element_key(aut, ls)
+        if key in rep_of:
             return False
+        rep_of[key] = ls
         reps.append(ls)
-        rep_set.add(ls)
         if len(reps) > size_cap:
             raise NotContractingWithinCaps(
                 "nucleus exceeded size cap %d" % size_cap)
@@ -406,11 +483,14 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
                     if add_word(_inverse(wl)):
                         changed = True
 
-    reps_final = []
-    for ls in reps:
-        best = _improve_rep(aut, ls)
-        reps_final.append(best)
-    reps_final.sort(key=lambda ls: (len(ls), _lex_key(ls)))
+    # shortest equal word of each representative whose search space is small
+    width = 2 * len(_gen_codes(aut))
+    short = [ls for ls in reps
+             if sum(width ** n for n in range(len(ls) + 1)) <= 20000]
+    best = _first_words(aut, {_element_key(aut, ls) for ls in short},
+                        max(map(len, short), default=0))
+    final = {key: best.get(key, ls) for key, ls in rep_of.items()}
+    reps_final = sorted(final.values(), key=lambda ls: (len(ls), _lex_key(ls)))
 
     alphabet = aut.alphabet
     perms, sections = {}, {}
@@ -421,7 +501,7 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
         for x in letters:
             y, res = _step_word(rows, ls, x)
             perm[alphabet[x]] = alphabet[y]
-            target = res if res in by_element else _find_in(aut, res, reps_final)
+            target = final.get(_element_key(aut, res))
             if target is None:
                 raise NotContractingWithinCaps(
                     "residual left the computed set; raise the caps")
@@ -429,24 +509,6 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
         perms[rep] = perm
         sections[rep] = secs
     return Nucleus([by_element[ls] for ls in reps_final], perms, sections)
-
-
-def _find_in(aut, word, reps):
-    inv = _inverse(word)
-    for r in reps:
-        if _verdict(aut, _product(r, inv)).identity:
-            return r
-    return None
-
-
-def _improve_rep(aut, word):
-    """Shortest equal word when the search space is small; otherwise keep."""
-    gens = _gen_codes(aut)
-    space = sum((2 * len(gens)) ** n for n in range(len(word) + 1))
-    if space > 20000:
-        return word
-    found = _shortest(aut, word, len(word))
-    return found if found is not None else word
 
 
 def _cycle_reachable(nodes, node_set, succ):
@@ -492,7 +554,6 @@ def check_reducible(aut: MealyAutomaton, max_len: int, max_depth: int) -> Reduci
 
     for ls in _reduced_code_words(_gen_codes(aut), max_len, include_empty=False):
         scanned += 1
-        target = len(ls)
         first_fixed = None
         for x in letters:
             if _step_word(rows, ls, x)[0] == x:
@@ -500,30 +561,9 @@ def check_reducible(aut: MealyAutomaton, max_len: int, max_depth: int) -> Reduci
                 break
         if first_fixed is None:
             continue
-        safe = set()
-        deep = False
-
-        def descend(wl, path, depth):
-            nonlocal max_chain, deep
-            if depth > max_chain:
-                max_chain = depth
-            if depth > max_depth:
-                deep = True
-                return True
-            for x in letters:
-                y, r = _step_word(rows, wl, x)
-                if y != x or len(r) < target:
-                    continue
-                if r in path:
-                    return False
-                if r in safe:
-                    continue
-                if not descend(r, path | {r}, depth + 1):
-                    return False
-                safe.add(r)
-            return True
-
-        if not descend(ls, frozenset((ls,)), 0):
+        ok, chain, deep = _chains_shorten(rows, letters, ls, max_depth)
+        max_chain = max(max_chain, chain)
+        if not ok:
             return ReducibilityReport(
                 "Counterexample", (_decode_word(aut, ls), aut.alphabet[first_fixed]),
                 (), scanned, max_chain)
@@ -533,6 +573,50 @@ def check_reducible(aut: MealyAutomaton, max_len: int, max_depth: int) -> Reduci
     if unresolved:
         return ReducibilityReport("Inconclusive", None, tuple(unresolved), scanned, max_chain)
     return ReducibilityReport("Pass", None, (), scanned, max_chain)
+
+
+def _chains_shorten(rows, letters, word, max_depth):
+    """Follow the same-length residual chains of a word at fixed letters.
+
+    Returns (ok, chain, deep): ok is False when a chain revisits a word on
+    it, chain is the greatest depth reached, and deep tells whether some
+    chain was cut off past max_depth.  Depth first in letter order, with an
+    explicit stack, so only max_depth bounds the chain length; a word whose
+    chains all end well is not walked again.
+    """
+    if max_depth < 0:
+        return True, 0, True
+    target = len(word)
+    chain = 0
+    deep = False
+    path = {word}
+    safe = set()
+    stack = [(word, iter(letters))]
+    while stack:
+        wl, todo = stack[-1]
+        for x in todo:
+            y, r = _step_word(rows, wl, x)
+            if y != x or len(r) < target:
+                continue
+            if r in path:
+                return False, chain, deep
+            if r in safe:
+                continue
+            depth = len(stack)
+            if depth > chain:
+                chain = depth
+            if depth > max_depth:
+                deep = True
+                safe.add(r)
+                continue
+            path.add(r)
+            stack.append((r, iter(letters)))
+            break
+        else:
+            stack.pop()
+            path.discard(wl)
+            safe.add(wl)
+    return True, chain, deep
 
 
 # -- symmetric quotient ----------------------------------------------------------

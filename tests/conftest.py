@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from selfsim import builtin, builtin_automaton
+
+# one profile for every property test: no deadline, examples drawn from a
+# fixed seed, nothing written to .hypothesis/; tests set only max_examples
+settings.register_profile("selfsim", deadline=None, derandomize=True, database=None)
+settings.load_profile("selfsim")
 
 
 @pytest.fixture(scope="session")

@@ -74,7 +74,7 @@ def _reference_apply(aut, word, u):
     return tuple(u)
 
 
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=150)
 
 
 @SETTINGS

@@ -72,6 +72,9 @@ CASES = [
     ("sym-quotient-cycle8", ["sym-quotient", "--builtin", "cycle_8"], 0),
     ("sym-quotient-cycle9-cap", ["sym-quotient", "--builtin", "cycle_9"], 1),
     ("trace-nf-fig5-long", ["trace-nf", "--builtin", "fig5_tree", "-u", FIG5_TRACE], 0),
+    ("nucleus-cycle5", ["nucleus", "--builtin", "cycle_5"], 0),
+    ("nucleus-path5", ["nucleus", "--builtin", "path_5"], 0),
+    ("nucleus-fig5-size-cap", ["nucleus", "--builtin", "fig5_tree", "--size-cap", "10"], 1),
 ]
 
 

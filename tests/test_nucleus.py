@@ -1,0 +1,369 @@
+"""Nucleus membership by element key, checked against the closure decider.
+
+`nucleus` looks elements up by `wordproblem._element_key`, the minimal
+portrait of the machine that a word's residuals form.  Here the key must
+separate exactly the pairs the closure decider separates, must not depend
+on what the memo already holds, and the nucleus must equal the one built
+by the per-representative closure lookup, kept below as the reference.
+The reducibility scan's explicit-stack chain walk is compared with the
+recursive walk it replaced, and the Aleshin machine is checked as a free,
+non-contracting fixture.
+"""
+
+import itertools
+import random
+import time
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import selfsim.wordproblem
+from selfsim import (
+    builtin_automaton,
+    check_reducible,
+    elements_equal,
+    is_identity,
+    make_automaton,
+    nucleus,
+    shortest_representative,
+)
+from selfsim.action import (
+    _decode_word,
+    _encode_word,
+    _inverse,
+    _product,
+    _reduced_code_words,
+    _step_word,
+    iter_reduced_words,
+)
+from selfsim.errors import NotContractingWithinCaps, SelfSimError
+from selfsim.wordproblem import (
+    Nucleus,
+    ReducibilityReport,
+    _closure_scan,
+    _cycle_reachable,
+    _element_key,
+    _gen_codes,
+    _lex_key,
+    _verdict,
+)
+
+SINK = "e"
+BUILTINS = ("adding_machine", "basilica", "star3", "fig5_tree", "path_4", "path_5",
+            "triangle_acyclic")
+
+
+def _random_machine(rng):
+    """An invertible machine with 2-3 letters, 2-4 states and a sink."""
+    alphabet = [str(i) for i in range(rng.randint(2, 3))]
+    gens = ["s%d" % i for i in range(rng.randint(2, 4))]
+    records = [(SINK, x, SINK, x) for x in alphabet]
+    for s in gens:
+        outputs = rng.sample(alphabet, len(alphabet))
+        records += [(s, x, rng.choice(gens + [SINK]), y) for x, y in zip(alphabet, outputs)]
+    return records, gens + [SINK], alphabet
+
+
+def _build(machine):
+    records, states, alphabet = machine
+    return make_automaton(states, alphabet, records, sink=SINK)
+
+
+# -- the key against the closure decider ---------------------------------------------
+
+@settings(max_examples=150)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_key_equal_exactly_when_elements_equal(seed):
+    rng = random.Random(seed)
+    machine = _random_machine(rng)
+    aut = _build(machine)
+    gens = [s for s in aut.states if s != SINK]
+    letters = [(g, s) for g in gens for s in (1, -1)]
+    pool = [list(w) for w in iter_reduced_words(gens, 2)]
+    for _ in range(6):
+        w = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
+        pool += [w, w + rng.choice(pool)]
+    heads = {}
+    for w in pool:
+        head = heads.setdefault(_element_key(aut, _encode_word(aut, w)), w)
+        assert elements_equal(aut, head, w)
+    for u, v in itertools.combinations(heads.values(), 2):
+        assert not elements_equal(aut, u, v)
+    fresh = _build(machine)
+    for word, key in aut._cache["key"].items():
+        assert _element_key(fresh, word) == key
+
+
+@pytest.mark.parametrize("name", ["basilica", "star3", "fig5_tree", "aleshin"])
+def test_key_does_not_depend_on_the_memo(name):
+    aut = builtin_automaton(name)
+    try:
+        nucleus(aut, size_cap=64)
+    except NotContractingWithinCaps:
+        pass
+    memo = aut._cache["key"]
+    assert memo
+    fresh = builtin_automaton(name)
+    for word, key in memo.items():
+        fresh._cache.pop("key", None)
+        assert _element_key(fresh, word) == key
+
+
+def test_key_of_an_identity_is_the_one_state_portrait(fig5):
+    identity = _encode_word(fig5, "e2 e4 e2^-1 e4^-1")
+    assert is_identity(fig5, "e2 e4 e2^-1 e4^-1").identity
+    n = len(fig5.alphabet)
+    assert _element_key(fig5, identity) == tuple(range(n)) + (0,) * n
+
+
+# -- the nucleus against per-representative closure lookups ---------------------------
+
+def _find_in(aut, word, reps):
+    inv = _inverse(word)
+    for r in reps:
+        if _verdict(aut, _product(r, inv)).identity:
+            return r
+    return None
+
+
+def _shortest(aut, word, max_len):
+    inv = _inverse(word)
+    for candidate in _reduced_code_words(_gen_codes(aut), max_len):
+        if _verdict(aut, _product(candidate, inv)).identity:
+            return candidate
+    return None
+
+
+def _improve_rep(aut, word):
+    space = sum((2 * len(_gen_codes(aut))) ** n for n in range(len(word) + 1))
+    if space > 20000:
+        return word
+    found = _shortest(aut, word, len(word))
+    return found if found is not None else word
+
+
+def _reference_nucleus(aut, depth_cap=64, size_cap=512):
+    """The nucleus with membership decided by a closure query per representative."""
+    rows, letters = aut.core().rows, range(len(aut.alphabet))
+    reps = []
+
+    def add_word(ls):
+        if _find_in(aut, ls, reps) is not None:
+            return False
+        reps.append(ls)
+        if len(reps) > size_cap:
+            raise NotContractingWithinCaps("nucleus exceeded size cap %d" % size_cap)
+        return True
+
+    add_word(())
+    seeds = [(c,) for c in _gen_codes(aut)]
+    seeds += [(-c,) for c, in seeds]
+    for seed in seeds:
+        for ls in _closure_scan(aut, seed, False)[1]:
+            add_word(ls)
+    changed = True
+    while changed:
+        changed = False
+        snapshot = list(reps)
+        for g, h in itertools.product(snapshot, snapshot):
+            w0 = _product(g, h)
+            if _find_in(aut, w0, reps) is not None:
+                continue
+            nodes, node_set, succ, frontier, levels = [w0], {w0}, {}, [w0], 0
+            while frontier:
+                levels += 1
+                if levels > depth_cap:
+                    raise NotContractingWithinCaps(
+                        "residual chains exceeded depth cap %d" % depth_cap)
+                nxt = []
+                for wl in frontier:
+                    succ[wl] = kids = [_step_word(rows, wl, x)[1] for x in letters]
+                    for r in kids:
+                        if r not in node_set and _find_in(aut, r, reps) is None:
+                            node_set.add(r)
+                            nodes.append(r)
+                            nxt.append(r)
+                frontier = nxt
+            for wl in _cycle_reachable(nodes, node_set, succ):
+                changed |= add_word(wl)
+                changed |= add_word(_inverse(wl))
+    final = sorted((_improve_rep(aut, ls) for ls in reps),
+                   key=lambda ls: (len(ls), _lex_key(ls)))
+    alphabet = aut.alphabet
+    perms, sections = {}, {}
+    for ls in final:
+        rep = _decode_word(aut, ls)
+        perms[rep], sections[rep] = {}, {}
+        for x in letters:
+            y, res = _step_word(rows, ls, x)
+            target = _find_in(aut, res, final)
+            if target is None:
+                raise NotContractingWithinCaps("residual left the computed set; raise the caps")
+            perms[rep][alphabet[x]] = alphabet[y]
+            sections[rep][alphabet[x]] = _decode_word(aut, target)
+    return Nucleus([_decode_word(aut, ls) for ls in final], perms, sections)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        nuc = fn(*args, **kwargs)
+    except SelfSimError as exc:
+        return type(exc).__name__, str(exc)
+    return nuc.elements, nuc.perms, nuc.sections
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_nucleus_matches_the_closure_lookup(name):
+    aut = builtin_automaton(name)
+    assert _outcome(nucleus, aut) == _outcome(_reference_nucleus, builtin_automaton(name))
+    assert not aut._cache.get("wp")
+
+
+def test_nucleus_matches_the_closure_lookup_on_random_machines():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(80):
+        machine = _random_machine(rng)
+        got = _outcome(nucleus, _build(machine), depth_cap=10, size_cap=40)
+        assert got == _outcome(_reference_nucleus, _build(machine), depth_cap=10, size_cap=40)
+        outcomes.add(got[0] if isinstance(got[0], str) else "Nucleus")
+    assert outcomes == {"Nucleus", "NotContractingWithinCaps"}
+
+
+def test_shortest_representative_matches_the_closure_search(star):
+    rng = random.Random(5)
+    letters = [(g, s) for g in "abc" for s in (1, -1)]
+    for _ in range(60):
+        w = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
+        found = _shortest(star, _encode_word(star, w), 3)
+        expected = None if found is None else _decode_word(star, found)
+        assert shortest_representative(star, w, 3) == expected
+
+
+def test_key_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(selfsim.wordproblem, "MEMO_LIMIT", 10)
+    aut = builtin_automaton("fig5_tree")
+    got = _outcome(nucleus, aut)
+    assert len(aut._cache["key"]) == 10
+    assert got == _outcome(nucleus, builtin_automaton("fig5_tree"))
+
+
+# -- the reducibility scan's chain walk ----------------------------------------------
+
+def _reference_check_reducible(aut, max_len, max_depth):
+    """check_reducible with the recursive chain walk and frozenset paths."""
+    rows, letters = aut.core().rows, range(len(aut.alphabet))
+    unresolved, scanned, max_chain = [], 0, 0
+    for ls in _reduced_code_words(_gen_codes(aut), max_len, include_empty=False):
+        scanned += 1
+        target = len(ls)
+        fixed = [x for x in letters if _step_word(rows, ls, x)[0] == x]
+        if not fixed:
+            continue
+        safe, deep = set(), False
+
+        def descend(wl, path, depth):
+            nonlocal max_chain, deep
+            max_chain = max(max_chain, depth)
+            if depth > max_depth:
+                deep = True
+                return True
+            for x in letters:
+                y, r = _step_word(rows, wl, x)
+                if y != x or len(r) < target:
+                    continue
+                if r in path:
+                    return False
+                if r in safe:
+                    continue
+                if not descend(r, path | {r}, depth + 1):
+                    return False
+                safe.add(r)
+            return True
+
+        if not descend(ls, frozenset((ls,)), 0):
+            return ReducibilityReport("Counterexample",
+                                      (_decode_word(aut, ls), aut.alphabet[fixed[0]]),
+                                      (), scanned, max_chain)
+        if deep:
+            unresolved.append(_decode_word(aut, ls))
+    if unresolved:
+        return ReducibilityReport("Inconclusive", None, tuple(unresolved), scanned, max_chain)
+    return ReducibilityReport("Pass", None, (), scanned, max_chain)
+
+
+def test_chain_walk_matches_the_recursive_walk():
+    rng = random.Random(99)
+    machines = [builtin_automaton(name) for name in ("star3", "basilica", "non_reducible_demo")]
+    machines += [_build(_random_machine(rng)) for _ in range(150)]
+    statuses = set()
+    for aut in machines:
+        for max_len, max_depth in ((3, 0), (3, 1), (4, 6)):
+            report = check_reducible(aut, max_len, max_depth)
+            assert report == _reference_check_reducible(aut, max_len, max_depth)
+            statuses.add(report.status)
+    assert statuses == {"Pass", "Counterexample", "Inconclusive"}
+
+
+def test_chain_walk_is_iterative():
+    # s_i restricts to s_(i+1) at the one letter; the last state goes to the sink
+    n = 3000
+    states = ["s%d" % i for i in range(n)] + [SINK]
+    records = [(states[i], "0", states[i + 1], "0") for i in range(n)]
+    records.append((SINK, "0", SINK, "0"))
+    aut = make_automaton(states, ["0"], records, sink=SINK)
+    assert check_reducible(aut, 1, 5000) == ReducibilityReport("Pass", None, (), 2 * n, n - 1)
+
+
+# -- the Aleshin machine -------------------------------------------------------------
+
+def _reference_apply(aut, word, u):
+    """Image of u under a signed state word, one generator at a time over the whole input."""
+    forward = {(s, x): (t, y) for s, x, t, y in aut.transitions()}
+    backward = {(s, y): (t, x) for s, x, t, y in aut.transitions()}
+    for g, sign in word:
+        table = forward if sign > 0 else backward
+        state, image = g, []
+        for x in u:
+            state, y = table[state, x]
+            image.append(y)
+        u = tuple(image)
+    return u
+
+
+def test_aleshin_is_not_contracting():
+    start = time.perf_counter()
+    with pytest.raises(NotContractingWithinCaps):
+        nucleus(builtin_automaton("aleshin"))
+    assert time.perf_counter() - start < 30
+
+
+def test_aleshin_closure_agrees_with_the_action():
+    aut = builtin_automaton("aleshin")
+    level = [u for k in range(7) for u in itertools.product(aut.alphabet, repeat=k)]
+    letters = [(g, s) for g in aut.states for s in (1, -1)]
+    rng = random.Random(3)
+    verdicts = set()
+    for _ in range(120):
+        w = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.25:
+            half = w[:3]
+            w = half + [(g, -s) for g, s in reversed(half)]
+        moved = next((u for u in level if _reference_apply(aut, w, u) != u), None)
+        verdict = is_identity(aut, w)
+        verdicts.add(verdict.decision)
+        if verdict.identity:
+            assert moved is None
+        elif moved is None:
+            assert len(verdict.witness) > 6
+        else:
+            # the closure witness is a shortest moved word, as is the first moved word
+            assert len(verdict.witness) == len(moved)
+            assert _reference_apply(aut, w, verdict.witness) != verdict.witness
+    assert verdicts == {"Identity", "NonIdentity"}
+
+
+def test_aleshin_is_free_up_to_length_five():
+    aut = builtin_automaton("aleshin")
+    for w in iter_reduced_words(aut.states, 5, include_empty=False):
+        assert not is_identity(aut, w).identity

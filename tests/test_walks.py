@@ -49,7 +49,7 @@ def _cases(draw):
     return name, draw(_words(name)), draw(st.integers(1, LEVELS[name]))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(_cases())
 def test_level_walk_matches_enumeration(case):
     name, word, k = case
@@ -120,7 +120,7 @@ def _bfs_tree(action):
     return tuple(tree)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
     st.just(n),
     st.lists(st.permutations(range(n)), min_size=1, max_size=3),
