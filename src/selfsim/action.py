@@ -312,20 +312,39 @@ def stabilizes_level(aut: MealyAutomaton, w, k: int, cap=None) -> bool:
     if k < 0:
         raise LevelTooLarge("level must be >= 0")
     check_level_cap(aut, k, cap)
-    return _level_walk(aut, _public_word(aut, w), k, aut._cache.setdefault("stab", {}), False)
+    return _level_walk(aut, _public_word(aut, w), k, False)
 
 
-def _level_walk(aut, word, k, memo, empty_leaves):
+def _memo(aut, name):
+    """The machine's memo `name`: a plain dict, made on first use."""
+    memo = aut._cache.get(name)
+    if memo is None:
+        memo = aut._cache[name] = {}
+    return memo
+
+
+def _remember(memo, key, value, limit):
+    """Store key -> value unless the memo already holds `limit` entries.
+
+    Callers pass their module's MEMO_LIMIT, read at call time, so a test can
+    lower the bound of one module's memos.
+    """
+    if len(memo) < limit:
+        memo[key] = value
+
+
+def _level_walk(aut, word, k, empty_leaves):
     """True iff the code word fixes every letter down to depth k, walked over residuals.
 
     With `empty_leaves` the depth-k residuals must also be empty.  Distinct
     residuals below one word are walked once, depth first in letter order,
-    and the walk stops at the first failure.  `memo` maps (code word, depth)
-    to the answer; it stops growing at MEMO_LIMIT entries.  Iterative, so
-    only the level cap bounds k.
+    and the walk stops at the first failure.  The memo (`fragile` with
+    `empty_leaves`, else `stab`) maps (code word, depth) to the answer.
+    Iterative, so only the level cap bounds k.
     """
     if k == 0:
         return not word if empty_leaves else True
+    memo = _memo(aut, "fragile" if empty_leaves else "stab")
     result = memo.get((word, k))
     if result is not None:
         return result
@@ -354,8 +373,7 @@ def _level_walk(aut, word, k, memo, empty_leaves):
                     break
             if result is None:
                 continue
-        if len(memo) < MEMO_LIMIT:
-            memo[(ls, depth)] = result
+        _remember(memo, (ls, depth), result, MEMO_LIMIT)
         stack.pop()
     return result
 

@@ -4,7 +4,8 @@ Every subcommand reads its automaton, graph or action from a file or from
 the builtin fixture menagerie, runs one library operation and prints a
 report of "key: value" lines (repeated keys form sections).  With
 ``--format structured`` the same pairs are emitted as JSON.  Reports are
-byte-reproducible; wall-clock timing is only added on request.
+byte-reproducible; wall-clock timing is only added on request.  COMMANDS
+declares each subcommand once; the parser and the dispatch are built from it.
 
 Exit status: 0 success, 1 domain error (the error class name is in the
 report), 2 usage error.
@@ -24,7 +25,7 @@ from .action import (
     format_word,
     parse_word,
 )
-from .errors import BadGraph, SelfSimError
+from .errors import BadGraph, FormatError, SelfSimError
 from .graphgroup import (
     OrientedGraph,
     build_graph_automaton,
@@ -103,105 +104,353 @@ def _plain(value):
     return symbol_str(value)
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 class _Inputs:
-    """Resolves --builtin / --automaton / --graph / --action into objects."""
+    """Resolves --builtin / --automaton / --graph / --action / --tuples into objects."""
 
     def __init__(self, args, report):
         self.args = args
         self.report = report
-        self._graph = None
-        self._automaton = None
 
-    def _read(self, path, kind):
-        with open(path, "rb") as handle:
-            data = handle.read()
+    def _read(self, path):
+        """Text of an input file; its name and digest go into the report."""
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError as err:
+            raise FormatError("cannot read %s: %s" % (path, err.strerror)) from None
         self.report.add("input", "file:%s" % path)
-        self.report.add("input-sha256", _digest(data))
-        return data.decode("utf-8")
+        self.report.add("input-sha256", hashlib.sha256(data).hexdigest())
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise FormatError("%s is not UTF-8 text (bad byte at offset %d)"
+                              % (path, err.start)) from None
 
     def graph(self) -> OrientedGraph:
-        if self._graph is not None:
-            return self._graph
-        if getattr(self.args, "builtin", None):
-            obj = builtin(self.args.builtin)
+        args = self.args
+        if args.builtin:
+            obj = builtin(args.builtin)
             if not isinstance(obj, OrientedGraph):
-                raise BadGraph("builtin %r is not a graph" % self.args.builtin)
-            self.report.add("input", "builtin:%s" % self.args.builtin)
-            self._graph = obj
+                raise BadGraph("builtin %r is not a graph" % args.builtin)
+            self.report.add("input", "builtin:%s" % args.builtin)
             return obj
-        if getattr(self.args, "graph", None):
-            self._graph = load_graph(self._read(self.args.graph, "graph"))
-            return self._graph
+        if args.graph:
+            return load_graph(self._read(args.graph))
         raise BadGraph("this command needs --builtin or --graph")
 
     def automaton(self):
-        if self._automaton is not None:
-            return self._automaton
         args = self.args
-        if getattr(args, "automaton", None):
-            self._automaton = load_automaton(self._read(args.automaton, "automaton"))
-        elif getattr(args, "graph", None):
-            self._automaton = build_graph_automaton(
-                load_graph(self._read(args.graph, "graph")))
-        elif getattr(args, "builtin", None):
+        if args.automaton:
+            return load_automaton(self._read(args.automaton))
+        if args.graph:
+            return build_graph_automaton(load_graph(self._read(args.graph)))
+        if args.builtin:
             obj = builtin(args.builtin)
             self.report.add("input", "builtin:%s" % args.builtin)
-            if isinstance(obj, OrientedGraph):
-                obj = build_graph_automaton(obj)
-            self._automaton = obj
-        elif getattr(args, "action", None):
-            self._automaton = build_reducible_automaton(
-                load_action(self._read(args.action, "action")),
-                self._assignment())
-        else:
-            raise BadGraph("this command needs an automaton source")
-        return self._automaton
+            return build_graph_automaton(obj) if isinstance(obj, OrientedGraph) else obj
+        if args.action:
+            return build_reducible_automaton(self.action(), self.assignment())
+        raise BadGraph("this command needs an automaton source")
 
     def action(self):
-        if not getattr(self.args, "action", None):
+        if not self.args.action:
             raise BadGraph("this command needs --action FILE")
-        return load_action(self._read(self.args.action, "action"))
+        return load_action(self._read(self.args.action))
 
-    def _assignment(self):
-        if getattr(self.args, "assignment", None):
-            return load_assignment(self._read(self.args.assignment, "assignment"))
+    def assignment(self):
+        if self.args.assignment:
+            return load_assignment(self._read(self.args.assignment))
         return None
 
+    def tuples(self):
+        return [tuple(parse_word(part) for part in line.split(","))
+                for _, line in content_lines(self._read(self.args.tuples))]
 
-def _emit_automaton(report, aut, out_path=None):
+
+def _write(report, path, text):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    report.add("written", path)
+
+
+def _emit_automaton(report, aut, out_path):
     text = dump_automaton(aut)
     report.add("states", len(aut.states))
     report.add("letters", len(aut.alphabet))
     report.add("invertible", aut.invertible)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        report.add("written", out_path)
+        _write(report, out_path, text)
     for line in text.splitlines():
         report.add("automaton", line)
 
 
-def _word_arg(parser, flag="-w", name="word"):
-    parser.add_argument(flag, "--" + name, dest=name, required=True,
-                        help="whitespace separated letters, inverses as g^-1")
+# -- handlers: each fills the report of one subcommand -----------------------
+
+def _build_graph_automaton(args, inputs, report, caps):
+    _emit_automaton(report, build_graph_automaton(inputs.graph()), args.out)
 
 
-def _add_sources(parser, automaton=True, graph=True, action=False):
-    parser.add_argument("--builtin", help="fixture name, e.g. star3 or fig5_tree")
-    if graph:
-        parser.add_argument("--graph", help="graph file (name tail head lines)")
-    if automaton:
-        parser.add_argument("--automaton", help="automaton file")
-    if action:
-        parser.add_argument("--action", help="permutation action file")
-        parser.add_argument("--assignment", help="spanning tree output assignment file")
+def _dual(args, inputs, report, caps):
+    _emit_automaton(report, dual(inputs.automaton()), args.out)
 
 
-def _build_parser():
+def _enriched_dual(args, inputs, report, caps):
+    _emit_automaton(report, enriched_dual(inputs.automaton()), args.out)
+
+
+def _power(args, inputs, report, caps):
+    _emit_automaton(report, power(inputs.automaton(), args.n), args.out)
+
+
+def _export_dot(args, inputs, report, caps):
+    text = to_dot(inputs.automaton())
+    if args.out:
+        _write(report, args.out, text)
+    else:
+        report.raw = text
+
+
+def _wp(args, inputs, report, caps):
+    aut = inputs.automaton()
+    report.add("word", args.word)
+    report.add("method", args.method)
+    if args.method == "closure":
+        verdict = is_identity(aut, args.word)
+    else:
+        report.add("kmax", args.kmax)
+        verdict = wp_fragile(aut, args.word, args.kmax, cap=caps.get("level_cap"))
+    report.add("decision", verdict.decision)
+    if verdict.witness is not None:
+        report.add("witness", verdict.witness)
+    elif verdict.decision == "NonIdentity":
+        report.add("witness", "-")
+        report.add("kmax-exhausted", True)
+    if verdict.decision == "Identity":
+        if verdict.method == "closure":
+            report.add("certificate-size", len(verdict.certificate))
+            for word in verdict.certificate[:_CERT_LINES]:
+                report.add("certificate", format_word(word))
+            if len(verdict.certificate) > _CERT_LINES:
+                report.add("certificate-truncated", True)
+        else:
+            report.add("fragile-index", verdict.certificate[0])
+
+
+def _nucleus(args, inputs, report, caps):
+    aut = inputs.automaton()
+    nuc = nucleus(
+        aut,
+        depth_cap=caps.get("nucleus_depth") if args.depth_cap is None else args.depth_cap,
+        size_cap=caps.get("nucleus_size") if args.size_cap is None else args.size_cap)
+    report.add("size", len(nuc))
+    for rep in nuc.elements:
+        report.add("element", format_word(rep))
+        secs = nuc.sections[rep]
+        report.add("sections", " ".join(
+            "%s:%s" % (symbol_str(x), format_word(secs[x])) for x in aut.alphabet))
+
+
+def _level_query(key, decide):
+    """Handler reporting `decide(aut, word, k, cap=level cap)` under `key`."""
+    def handler(args, inputs, report, caps):
+        aut = inputs.automaton()
+        report.add("word", args.word)
+        report.add("k", args.k)
+        report.add(key, decide(aut, args.word, args.k, cap=caps.get("level_cap")))
+    return handler
+
+
+def _embed(args, inputs, report, caps):
+    aut = inputs.automaton()
+    report.add("word", args.word)
+    report.add("k", args.k)
+    components = embed_in_product(aut, args.word, args.k, cap=caps.get("level_cap"))
+    report.add("all-trivial", all(w.is_empty() for w in components.values()))
+    for u, w in components.items():
+        report.add("component %s" % " ".join(u), format_word(w))
+
+
+def _exponent_sums(args, inputs, report, caps):
+    aut = inputs.automaton()
+    gens = [s for s in aut.states if s != aut.sink]
+    sums = exponent_sums(parse_word(args.word, aut), gens)
+    report.add("word", args.word)
+    report.add("sums", " ".join("%s=%d" % (symbol_str(g), v) for g, v in zip(gens, sums)))
+
+
+def _check_reducible(args, inputs, report, caps):
+    rep = check_reducible(inputs.automaton(), args.max_len, args.max_depth)
+    report.add("result", rep.status)
+    report.add("words-scanned", rep.words_scanned)
+    report.add("max-chain", rep.max_chain)
+    if rep.counterexample:
+        word, letter = rep.counterexample
+        report.add("counterexample-word", format_word(word))
+        report.add("counterexample-letter", letter)
+    for word in rep.unresolved:
+        report.add("unresolved", format_word(word))
+
+
+def _sym_quotient(args, inputs, report, caps):
+    report.add("order", sym_quotient_order(inputs.automaton(), cap=caps.get("quotient_cap")))
+
+
+def _dichotomy(args, inputs, report, caps):
+    rows = inputs.tuples()
+    result = dichotomy(rows)
+    report.add("tuples", len(rows))
+    report.add("result", result.kind)
+    if result.kind == "FreePair":
+        report.add("component-index", result.component)
+        report.add("pair-indices", "%d %d" % result.pair)
+
+
+def _trace_nf(args, inputs, report, caps):
+    word = trace_word(presentation_from_tree(inputs.graph()), args.u)
+    report.add("word", args.u)
+    report.add("normal-form", str(normal_form(word)))
+
+
+def _trace_eq(args, inputs, report, caps):
+    graph = inputs.graph()
+    pres = presentation_from_tree(graph)
+    u = trace_word(pres, args.u)
+    v = trace_word(pres, args.v)
+    report.add("u", args.u)
+    report.add("v", args.v)
+    if args.oracle is None:
+        report.add("oracle", "normal-form")
+        report.add("equal", equivalent(u, v))
+    elif args.oracle == "projection":
+        report.add("oracle", "projection")
+        report.add("equal", projections_equal(u, v))
+    else:
+        report.add("oracle", "action")
+        result = semigroup_eq_via_action(build_graph_automaton(graph), u.letters, v.letters)
+        report.add("equal", result.equal)
+        if result.witness is not None:
+            report.add("witness-prefix", result.witness)
+
+
+def _dual_path(args, inputs, report, caps):
+    aut = inputs.automaton()
+    path = dual_path(aut, args.x, args.u)
+    report.add("x", args.x)
+    report.add("u", args.u)
+    report.add("full", " ".join(
+        "(%s|%s)" % (symbol_str(item[0]), symbol_str(item[1]))
+        if isinstance(item, tuple) else symbol_str(item)
+        for item in path.full()))
+    report.add("outputs", path.outputs)
+    report.add("outputs-erased", erase_id(path.outputs, aut.sink))
+    report.add("p", path.condensed)
+
+
+def _check_acyclic(args, inputs, report, caps):
+    rep = check_acyclic_no_positive_identity(
+        inputs.automaton(), args.max_len, cap=caps.get("level_cap"))
+    report.add("result", rep.status)
+    report.add("words-checked", rep.words_checked)
+    for word in rep.violations:
+        report.add("violation", word)
+
+
+def _cycle_torsion(args, inputs, report, caps):
+    aut = inputs.automaton()
+    report.add("word", args.word)
+    report.add("k", args.k)
+    report.add("torsion-identity", check_cycle_torsion(aut, args.word, args.k))
+
+
+def _schreier_gen(args, inputs, report, caps):
+    action = inputs.action()
+    assignment = inputs.assignment()
+    aut = build_reducible_automaton(action, assignment)
+    decorated = decorated_schreier_graph(action, assignment)
+    report.add("cosets", len(aut.alphabet))
+    report.add("degenerate", len(aut.alphabet) == 1)
+    report.add("bisimulation-minimal", is_reduced(aut))
+    report.add("classes", len(bisimulation_classes(aut)))
+    report.add("roundtrip-enriched-dual",
+               "exact" if enriched_dual(aut) == decorated else "MISMATCH")
+    _emit_automaton(report, aut, args.out)
+
+
+def _verify_loops(args, inputs, report, caps):
+    rep = verify_loop_shortening(inputs.automaton(), args.max_len, cap=caps.get("level_cap"))
+    report.add("result", rep.status)
+    report.add("words-checked", rep.words_checked)
+    for vertex, word in rep.violations:
+        report.add("violation", "%s : %s" % (symbol_str(vertex), format_word(word)))
+
+
+# -- the subcommand table -----------------------------------------------------
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+_SOURCE_HELP = {
+    "builtin": "fixture name, e.g. star3 or fig5_tree",
+    "graph": "graph file (name tail head lines)",
+    "automaton": "automaton file",
+    "action": "permutation action file",
+    "assignment": "spanning tree output assignment file",
+}
+_GRAPH = ("builtin", "graph")
+_MACHINE = ("builtin", "graph", "automaton")
+_ACTION = ("action", "assignment")
+
+_WORD_HELP = "whitespace separated letters, inverses as g^-1"
+_WORD = _arg("-w", "--word", dest="word", required=True, help=_WORD_HELP)
+_U = _arg("-u", "--u", dest="u", required=True, help=_WORD_HELP)
+_V = _arg("-v", "--v", dest="v", required=True, help=_WORD_HELP)
+_K = _arg("-k", type=int, required=True)
+_MAX_LEN = _arg("--max-len", type=int, required=True)
+_OUT = _arg("--out")
+
+# (name, help, input sources, further arguments, handler), in --help order.
+COMMANDS = (
+    ("build-graph-automaton", "graph automaton of an oriented graph", _GRAPH,
+     [_arg("--out", help="write the automaton file here as well")], _build_graph_automaton),
+    ("dual", "swap states and letters", _MACHINE, [_OUT], _dual),
+    ("enriched-dual", "dual of the machine joined with its inverse", _MACHINE, [_OUT],
+     _enriched_dual),
+    ("power", "n-th power automaton", _MACHINE,
+     [_arg("-n", type=int, required=True), _OUT], _power),
+    ("export-dot", "DOT rendering of the transition diagram", _MACHINE, [_OUT], _export_dot),
+    ("wp", "word problem", _MACHINE,
+     [_WORD, _arg("--method", choices=("closure", "fragile"), default="closure"),
+      _arg("--kmax", type=int, default=8)], _wp),
+    ("nucleus", "nucleus of the generated group", _MACHINE,
+     [_arg("--depth-cap", type=positive_int, default=None),
+      _arg("--size-cap", type=positive_int, default=None)], _nucleus),
+    ("fragile", None, _MACHINE, [_WORD, _K], _level_query("member", fragile_member)),
+    ("gk-identity", None, _MACHINE, [_WORD, _K],
+     _level_query("identity-in-Gk", is_identity_in_Gk)),
+    ("embed", "level-k residual components", _MACHINE, [_WORD, _K], _embed),
+    ("exponent-sums", None, _MACHINE, [_WORD], _exponent_sums),
+    ("check-reducible", None, _MACHINE,
+     [_MAX_LEN, _arg("--max-depth", type=int, required=True)], _check_reducible),
+    ("sym-quotient", "order of the level-one permutation group", _MACHINE, [], _sym_quotient),
+    ("dichotomy", "abelian or contains a free pair", (),
+     [_arg("--tuples", required=True,
+           help="file, one tuple per line, components comma separated")], _dichotomy),
+    ("trace-nf", "trace monoid normal form", _GRAPH, [_U], _trace_nf),
+    ("trace-eq", "equality of positive words", _GRAPH,
+     [_U, _V, _arg("--oracle", choices=("action", "projection"), default=None)], _trace_eq),
+    ("dual-path", "dual walk of a positive word from a letter", _MACHINE,
+     [_arg("-x", required=True), _U], _dual_path),
+    ("check-acyclic", None, _MACHINE, [_MAX_LEN], _check_acyclic),
+    ("cycle-torsion", None, _MACHINE, [_WORD, _K], _cycle_torsion),
+    ("schreier-gen", "build the coset machine of an action", ("builtin",) + _ACTION, [_OUT],
+     _schreier_gen),
+    ("verify-loops", "closed walks must shorten their outputs", _MACHINE + _ACTION, [_MAX_LEN],
+     _verify_loops),
+)
+
+
+def _parser():
     top = argparse.ArgumentParser(
         prog="selfsim",
         description="automaton groups and semigroups: exact decisions and constructions")
@@ -210,328 +459,28 @@ def _build_parser():
                      help="append elapsed milliseconds (breaks reproducibility)")
     top.add_argument("--jobs", type=int, default=1,
                      help="accepted for compatibility; sweeps run sequentially")
+    top.set_defaults(**dict.fromkeys(_SOURCE_HELP))
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build-graph-automaton", help="graph automaton of an oriented graph")
-    _add_sources(p, automaton=False)
-    p.add_argument("--out", help="write the automaton file here as well")
-
-    for name, help_text in (("dual", "swap states and letters"),
-                            ("enriched-dual", "dual of the machine joined with its inverse")):
-        p = sub.add_parser(name, help=help_text)
-        _add_sources(p)
-        p.add_argument("--out")
-
-    p = sub.add_parser("power", help="n-th power automaton")
-    _add_sources(p)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--out")
-
-    p = sub.add_parser("export-dot", help="DOT rendering of the transition diagram")
-    _add_sources(p)
-    p.add_argument("--out")
-
-    p = sub.add_parser("wp", help="word problem")
-    _add_sources(p)
-    _word_arg(p)
-    p.add_argument("--method", choices=("closure", "fragile"), default="closure")
-    p.add_argument("--kmax", type=int, default=8)
-
-    p = sub.add_parser("nucleus", help="nucleus of the generated group")
-    _add_sources(p)
-    p.add_argument("--depth-cap", type=positive_int, default=None)
-    p.add_argument("--size-cap", type=positive_int, default=None)
-
-    for name in ("fragile", "gk-identity"):
-        p = sub.add_parser(name)
-        _add_sources(p)
-        _word_arg(p)
-        p.add_argument("-k", type=int, required=True)
-
-    p = sub.add_parser("embed", help="level-k residual components")
-    _add_sources(p)
-    _word_arg(p)
-    p.add_argument("-k", type=int, required=True)
-
-    p = sub.add_parser("exponent-sums")
-    _add_sources(p)
-    _word_arg(p)
-
-    p = sub.add_parser("check-reducible")
-    _add_sources(p)
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--max-depth", type=int, required=True)
-
-    p = sub.add_parser("sym-quotient", help="order of the level-one permutation group")
-    _add_sources(p)
-
-    p = sub.add_parser("dichotomy", help="abelian or contains a free pair")
-    p.add_argument("--tuples", required=True,
-                   help="file, one tuple per line, components comma separated")
-
-    p = sub.add_parser("trace-nf", help="trace monoid normal form")
-    _add_sources(p, automaton=False)
-    _word_arg(p, "-u", "u")
-
-    p = sub.add_parser("trace-eq", help="equality of positive words")
-    _add_sources(p, automaton=False)
-    _word_arg(p, "-u", "u")
-    _word_arg(p, "-v", "v")
-    p.add_argument("--oracle", choices=("action", "projection"), default=None)
-
-    p = sub.add_parser("dual-path", help="dual walk of a positive word from a letter")
-    _add_sources(p)
-    p.add_argument("-x", required=True)
-    _word_arg(p, "-u", "u")
-
-    p = sub.add_parser("check-acyclic")
-    _add_sources(p)
-    p.add_argument("--max-len", type=int, required=True)
-
-    p = sub.add_parser("cycle-torsion")
-    _add_sources(p)
-    _word_arg(p)
-    p.add_argument("-k", type=int, required=True)
-
-    p = sub.add_parser("schreier-gen", help="build the coset machine of an action")
-    _add_sources(p, automaton=False, graph=False, action=True)
-    p.add_argument("--out")
-
-    p = sub.add_parser("verify-loops", help="closed walks must shorten their outputs")
-    _add_sources(p, action=True)
-    p.add_argument("--max-len", type=int, required=True)
-
+    for name, help_text, sources, arguments, handler in COMMANDS:
+        p = sub.add_parser(name, **({"help": help_text} if help_text else {}))
+        for source in sources:
+            p.add_argument("--" + source, help=_SOURCE_HELP[source])
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=handler)
     return top
 
 
-def _run(args, report):
-    caps = caps_from_env()
-    level_cap = caps.get("level_cap")
-    inputs = _Inputs(args, report)
-    cmd = args.command
-
-    if cmd == "build-graph-automaton":
-        _emit_automaton(report, build_graph_automaton(inputs.graph()), args.out)
-        return
-
-    if cmd in ("dual", "enriched-dual"):
-        aut = inputs.automaton()
-        result = dual(aut) if cmd == "dual" else enriched_dual(aut)
-        _emit_automaton(report, result, args.out)
-        return
-
-    if cmd == "power":
-        _emit_automaton(report, power(inputs.automaton(), args.n), args.out)
-        return
-
-    if cmd == "export-dot":
-        text = to_dot(inputs.automaton())
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            report.add("written", args.out)
-            return
-        report.raw = text
-        return
-
-    if cmd == "wp":
-        aut = inputs.automaton()
-        report.add("word", args.word)
-        report.add("method", args.method)
-        if args.method == "closure":
-            verdict = is_identity(aut, args.word)
-        else:
-            report.add("kmax", args.kmax)
-            verdict = wp_fragile(aut, args.word, args.kmax, cap=level_cap)
-        report.add("decision", verdict.decision)
-        if verdict.witness is not None:
-            report.add("witness", verdict.witness)
-        elif verdict.decision == "NonIdentity":
-            report.add("witness", "-")
-            report.add("kmax-exhausted", True)
-        if verdict.decision == "Identity":
-            if verdict.method == "closure":
-                report.add("certificate-size", len(verdict.certificate))
-                for word in verdict.certificate[:_CERT_LINES]:
-                    report.add("certificate", format_word(word))
-                if len(verdict.certificate) > _CERT_LINES:
-                    report.add("certificate-truncated", True)
-            else:
-                report.add("fragile-index", verdict.certificate[0])
-        return
-
-    if cmd == "nucleus":
-        aut = inputs.automaton()
-        nuc = nucleus(
-            aut,
-            depth_cap=caps.get("nucleus_depth") if args.depth_cap is None else args.depth_cap,
-            size_cap=caps.get("nucleus_size") if args.size_cap is None else args.size_cap)
-        report.add("size", len(nuc))
-        for rep in nuc.elements:
-            report.add("element", format_word(rep))
-            secs = nuc.sections[rep]
-            report.add("sections", " ".join(
-                "%s:%s" % (symbol_str(x), format_word(secs[x])) for x in aut.alphabet))
-        return
-
-    if cmd in ("fragile", "gk-identity"):
-        aut = inputs.automaton()
-        report.add("word", args.word)
-        report.add("k", args.k)
-        if cmd == "fragile":
-            report.add("member", fragile_member(aut, args.word, args.k, cap=level_cap))
-        else:
-            report.add("identity-in-Gk",
-                       is_identity_in_Gk(aut, args.word, args.k, cap=level_cap))
-        return
-
-    if cmd == "embed":
-        aut = inputs.automaton()
-        report.add("word", args.word)
-        report.add("k", args.k)
-        components = embed_in_product(aut, args.word, args.k, cap=level_cap)
-        report.add("all-trivial", all(w.is_empty() for w in components.values()))
-        for u, w in components.items():
-            report.add("component %s" % " ".join(u), format_word(w))
-        return
-
-    if cmd == "exponent-sums":
-        aut = inputs.automaton()
-        gens = [s for s in aut.states if s != aut.sink]
-        sums = exponent_sums(parse_word(args.word, aut), gens)
-        report.add("word", args.word)
-        report.add("sums", " ".join(
-            "%s=%d" % (symbol_str(g), v) for g, v in zip(gens, sums)))
-        return
-
-    if cmd == "check-reducible":
-        rep = check_reducible(inputs.automaton(), args.max_len, args.max_depth)
-        report.add("result", rep.status)
-        report.add("words-scanned", rep.words_scanned)
-        report.add("max-chain", rep.max_chain)
-        if rep.counterexample:
-            word, letter = rep.counterexample
-            report.add("counterexample-word", format_word(word))
-            report.add("counterexample-letter", letter)
-        for word in rep.unresolved:
-            report.add("unresolved", format_word(word))
-        return
-
-    if cmd == "sym-quotient":
-        cap = caps.get("quotient_cap")
-        report.add("order", sym_quotient_order(inputs.automaton(), cap=cap))
-        return
-
-    if cmd == "dichotomy":
-        with open(args.tuples, "rb") as handle:
-            data = handle.read()
-        report.add("input", "file:%s" % args.tuples)
-        report.add("input-sha256", _digest(data))
-        rows = [tuple(parse_word(part) for part in line.split(","))
-                for _, line in content_lines(data.decode("utf-8"))]
-        result = dichotomy(rows)
-        report.add("tuples", len(rows))
-        report.add("result", result.kind)
-        if result.kind == "FreePair":
-            report.add("component-index", result.component)
-            report.add("pair-indices", "%d %d" % result.pair)
-        return
-
-    if cmd == "trace-nf":
-        pres = presentation_from_tree(inputs.graph())
-        word = trace_word(pres, args.u)
-        report.add("word", args.u)
-        report.add("normal-form", str(normal_form(word)))
-        return
-
-    if cmd == "trace-eq":
-        graph = inputs.graph()
-        pres = presentation_from_tree(graph)
-        u = trace_word(pres, args.u)
-        v = trace_word(pres, args.v)
-        report.add("u", args.u)
-        report.add("v", args.v)
-        if args.oracle is None:
-            report.add("oracle", "normal-form")
-            report.add("equal", equivalent(u, v))
-        elif args.oracle == "projection":
-            report.add("oracle", "projection")
-            report.add("equal", projections_equal(u, v))
-        else:
-            report.add("oracle", "action")
-            aut = build_graph_automaton(graph)
-            result = semigroup_eq_via_action(aut, u.letters, v.letters)
-            report.add("equal", result.equal)
-            if result.witness is not None:
-                report.add("witness-prefix", result.witness)
-        return
-
-    if cmd == "dual-path":
-        aut = inputs.automaton()
-        path = dual_path(aut, args.x, args.u)
-        report.add("x", args.x)
-        report.add("u", args.u)
-        report.add("full", " ".join(
-            "(%s|%s)" % (symbol_str(item[0]), symbol_str(item[1]))
-            if isinstance(item, tuple) else symbol_str(item)
-            for item in path.full()))
-        report.add("outputs", path.outputs)
-        report.add("outputs-erased", erase_id(path.outputs, aut.sink))
-        report.add("p", path.condensed)
-        return
-
-    if cmd == "check-acyclic":
-        rep = check_acyclic_no_positive_identity(
-            inputs.automaton(), args.max_len, cap=level_cap)
-        report.add("result", rep.status)
-        report.add("words-checked", rep.words_checked)
-        for word in rep.violations:
-            report.add("violation", word)
-        return
-
-    if cmd == "cycle-torsion":
-        aut = inputs.automaton()
-        report.add("word", args.word)
-        report.add("k", args.k)
-        report.add("torsion-identity",
-                   check_cycle_torsion(aut, args.word, args.k))
-        return
-
-    if cmd == "schreier-gen":
-        action = inputs.action()
-        assignment = inputs._assignment()
-        aut = build_reducible_automaton(action, assignment)
-        decorated = decorated_schreier_graph(action, assignment)
-        report.add("cosets", len(aut.alphabet))
-        report.add("degenerate", len(aut.alphabet) == 1)
-        report.add("bisimulation-minimal", is_reduced(aut))
-        report.add("classes", len(bisimulation_classes(aut)))
-        report.add("roundtrip-enriched-dual",
-                   "exact" if enriched_dual(aut) == decorated else "MISMATCH")
-        _emit_automaton(report, aut, args.out)
-        return
-
-    if cmd == "verify-loops":
-        rep = verify_loop_shortening(inputs.automaton(), args.max_len, cap=level_cap)
-        report.add("result", rep.status)
-        report.add("words-checked", rep.words_checked)
-        for vertex, word in rep.violations:
-            report.add("violation", "%s : %s" % (symbol_str(vertex), format_word(word)))
-        return
-
-    raise SelfSimError("unhandled command %r" % cmd)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     report = Report()
     report.add("tool", "selfsim")
     report.add("version", __version__)
     report.add("command", args.command)
     started = time.monotonic()
     try:
-        _run(args, report)
+        caps = caps_from_env()
+        args.handler(args, _Inputs(args, report), report, caps)
     except SelfSimError as err:
         report.add("status", "error")
         report.add("error", type(err).__name__)

@@ -293,24 +293,22 @@ BUILTIN_NAMES = (
 )
 
 
+_FIXTURES = {
+    "star3": _star3,
+    "fig5_tree": _fig5_tree,
+    "triangle_acyclic": _triangle_acyclic,
+    "triangle_cyclic": lambda: _cycle(3),
+    "adding_machine": _adding_machine,
+    "basilica": _basilica,
+    "non_reducible_demo": _non_reducible_demo,
+    "aleshin": _aleshin,
+}
+
+
 def builtin(name: str):
     """Named fixture: an OrientedGraph or a MealyAutomaton."""
-    if name == "star3":
-        return _star3()
-    if name == "fig5_tree":
-        return _fig5_tree()
-    if name == "triangle_acyclic":
-        return _triangle_acyclic()
-    if name == "triangle_cyclic":
-        return _cycle(3)
-    if name == "adding_machine":
-        return _adding_machine()
-    if name == "basilica":
-        return _basilica()
-    if name == "non_reducible_demo":
-        return _non_reducible_demo()
-    if name == "aleshin":
-        return _aleshin()
+    if name in _FIXTURES:
+        return _FIXTURES[name]()
     m = re.fullmatch(r"path_(\d+)", name)
     if m:
         return _path(int(m.group(1)))

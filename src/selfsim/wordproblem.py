@@ -21,8 +21,10 @@ from .action import (
     _inverse,
     _letter_indices,
     _level_walk,
+    _memo,
     _product,
     _reduced_code_words,
+    _remember,
     _require_invertible_for,
     _restrict,
     _step_word,
@@ -101,9 +103,7 @@ def _verdict(aut, word) -> WpVerdict:
     A scan that finds no moved letter has listed the whole closure, which
     is the Identity certificate.
     """
-    memo = aut._cache.get("wp")
-    if memo is None:
-        memo = aut._cache["wp"] = {}
+    memo = _memo(aut, "wp")
     verdict = memo.get(word)
     if verdict is None:
         witness, order = _closure_scan(aut, word, True)
@@ -114,8 +114,7 @@ def _verdict(aut, word) -> WpVerdict:
             alphabet = aut.alphabet
             verdict = WpVerdict("NonIdentity", tuple(alphabet[x] for x in witness),
                                 None, "closure")
-        if len(memo) < MEMO_LIMIT:
-            memo[word] = verdict
+        _remember(memo, word, verdict, MEMO_LIMIT)
     return verdict
 
 
@@ -146,7 +145,7 @@ def fragile_member(aut: MealyAutomaton, w, k: int, cap=None) -> bool:
     if k < 1:
         raise LevelTooLarge("membership level must be >= 1")
     check_level_cap(aut, k, cap)
-    return _level_walk(aut, _encode_word(aut, w), k, aut._cache.setdefault("fragile", {}), True)
+    return _level_walk(aut, _encode_word(aut, w), k, True)
 
 
 def fragile_index(aut: MealyAutomaton, w, kmax: int, cap=None):
@@ -167,13 +166,12 @@ def _fragile_word(aut, w, kmax, cap):
 
 
 def _fragile_index(aut, word, kmax, cap):
-    memo = aut._cache.setdefault("fragile", {})
     for k in range(1, kmax + 1):
         check_level_cap(aut, k, cap)
-        if _level_walk(aut, word, k, memo, True):
+        if _level_walk(aut, word, k, True):
             try:
                 check_level_cap(aut, k + 1, cap)
-                monotone = _level_walk(aut, word, k + 1, memo, True)
+                monotone = _level_walk(aut, word, k + 1, True)
             except LevelTooLarge:
                 monotone = True
             if not monotone:
@@ -195,38 +193,45 @@ def wp_fragile(aut: MealyAutomaton, w, kmax: int, cap=None) -> WpVerdict:
     if k is not None:
         return WpVerdict("Identity", None, (k,), "fragile")
     _require_invertible_for(aut, word)
-    memo = aut._cache.setdefault("stab", {})
     for j in range(1, kmax + 1):
         check_level_cap(aut, j, cap)
-        if not _level_walk(aut, word, j, memo, False):
+        if not _level_walk(aut, word, j, False):
             witness = _moved_word_at_level(aut, word, j)
             return WpVerdict("NonIdentity", witness, None, "fragile")
     return WpVerdict("NonIdentity", None, None, "fragile")
 
 
 def _moved_word_at_level(aut, word, k):
-    """Lexicographically first word of length <= k moved by the code word."""
-    rows, alphabet = aut.core().rows, aut.alphabet
+    """Lexicographically first word of length <= k moved by the code word.
 
-    def rec(ls, prefix):
-        if len(prefix) == k:
-            return None
-        for x, letter in enumerate(alphabet):
+    Depth first in letter order over the residuals, with an explicit stack
+    of (residual, letters left), so k is not bounded by the recursion limit.
+    """
+    rows, alphabet = aut.core().rows, aut.alphabet
+    letters = range(len(alphabet))
+    prefix = []
+    stack = [(word, iter(letters))] if k else []
+    while stack:
+        ls, todo = stack[-1]
+        for x in todo:
             y, res = _step_word(rows, ls, x)
             if y != x:
-                return prefix + (letter,)
-            found = rec(res, prefix + (letter,))
-            if found is not None:
-                return found
-        return None
-
-    return rec(word, ())
+                return tuple(alphabet[i] for i in prefix) + (alphabet[x],)
+            if len(stack) < k:
+                prefix.append(x)
+                stack.append((res, iter(letters)))
+                break
+        else:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+    return None
 
 
 def _require_stabilizes(aut, word, k, cap=None):
     check_level_cap(aut, k, cap)
     _require_invertible_for(aut, word)
-    if not _level_walk(aut, word, k, aut._cache.setdefault("stab", {}), False):
+    if not _level_walk(aut, word, k, False):
         raise NotInStabilizer("word does not stabilize level %d" % k)
 
 
@@ -332,9 +337,7 @@ def _element_key(aut, word):
     equal elements.  Memoized per code word in the `key` memo, which stops
     growing at MEMO_LIMIT entries.
     """
-    memo = aut._cache.get("key")
-    if memo is None:
-        memo = aut._cache["key"] = {}
+    memo = _memo(aut, "key")
     key = memo.get(word)
     if key is not None:
         return key
@@ -362,8 +365,7 @@ def _element_key(aut, word):
             key += [block[j] for j in succ[i]]
             numbered += 1
     key = tuple(key)
-    if len(memo) < MEMO_LIMIT:
-        memo[word] = key
+    _remember(memo, word, key, MEMO_LIMIT)
     return key
 
 

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from selfsim.cli import main
+from selfsim.cli import COMMANDS, main
 
 
 def run_cli(*argv):
@@ -260,3 +262,9 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "decision: NonIdentity" in result.stdout
+
+
+def test_readme_lists_the_subcommand_table():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("Subcommands:", 1)[1].split(".\n", 1)[0]
+    assert re.findall(r"`([^`]+)`", listed) == [entry[0] for entry in COMMANDS]

@@ -75,6 +75,33 @@ CASES = [
     ("nucleus-cycle5", ["nucleus", "--builtin", "cycle_5"], 0),
     ("nucleus-path5", ["nucleus", "--builtin", "path_5"], 0),
     ("nucleus-fig5-size-cap", ["nucleus", "--builtin", "fig5_tree", "--size-cap", "10"], 1),
+    ("build-graph-automaton-star3", ["build-graph-automaton", "--builtin", "star3"], 0),
+    ("dual-basilica", ["dual", "--builtin", "basilica"], 0),
+    ("enriched-dual-adding", ["enriched-dual", "--builtin", "adding_machine"], 0),
+    ("power-adding-2", ["power", "--builtin", "adding_machine", "-n", "2"], 0),
+    ("export-dot-basilica", ["export-dot", "--builtin", "basilica"], 0),
+    ("exponent-sums",
+     ["exponent-sums", "--builtin", "fig5_tree", "-w", "e2 e4 e2^-1 e2^-1 e1"], 0),
+    ("dual-path", ["dual-path", "--builtin", "fig5_tree", "-x", "1", "-u", "e2 e1 e1 e4"], 0),
+    ("cycle-torsion",
+     ["cycle-torsion", "--builtin", "triangle_cyclic", "-w", "a1 a2 a3", "-k", "3"], 0),
+    ("trace-eq-normal-form",
+     ["trace-eq", "--builtin", "fig5_tree", "-u", "e2 e4 e1", "-v", "e4 e2 e1"], 0),
+    ("trace-eq-projection",
+     ["trace-eq", "--builtin", "fig5_tree", "-u", "e2 e1 e4", "-v", "e4 e2 e1",
+      "--oracle", "projection"], 0),
+    ("wp-unknown-generator", ["wp", "--builtin", "star3", "-w", "a zz"], 1),
+    ("wp-unknown-generator-structured",
+     ["--format", "structured", "wp", "--builtin", "star3", "-w", "a zz"], 1),
+    ("exponent-sums-unknown-generator", ["exponent-sums", "--builtin", "star3", "-w", "a q"], 1),
+    ("trace-nf-unknown-letter", ["trace-nf", "--builtin", "fig5_tree", "-u", "e1 e9"], 1),
+    ("power-zero", ["power", "--builtin", "star3", "-n", "0"], 1),
+    ("dual-path-bad-letter",
+     ["dual-path", "--builtin", "fig5_tree", "-x", "9", "-u", "e2 e1"], 1),
+    ("builtin-unknown", ["nucleus", "--builtin", "nope"], 1),
+    ("wp-missing-file", ["wp", "--automaton", "missing.aut", "-w", "a"], 1),
+    ("dichotomy-missing-file", ["dichotomy", "--tuples", "missing.tuples"], 1),
+    ("dichotomy-not-utf8", ["dichotomy", "--tuples", "not-utf8.tuples"], 1),
 ]
 
 

@@ -6,6 +6,8 @@ and nucleus persistence use the one SCC routine; the spanning tree is read
 off the coset graph's arcs.
 """
 
+import itertools
+import random
 from collections import deque
 
 import pytest
@@ -13,12 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 from selfsim import builtin_automaton
 from selfsim.action import (
+    _encode_word,
     apply_word,
     iter_level_words,
     restrict_word,
     stabilizes_level,
 )
 from selfsim.errors import BadGraph
+from selfsim.mealy import make_automaton
 from selfsim.schreier import (
     FiniteAction,
     build_reducible_automaton,
@@ -29,7 +33,7 @@ from selfsim.tracemonoid import (
     check_acyclic_no_positive_identity,
     semigroup_eq_via_action,
 )
-from selfsim.wordproblem import fragile_member
+from selfsim.wordproblem import _moved_word_at_level, fragile_member, wp_fragile
 
 # fixture name -> deepest level enumerated by brute force
 LEVELS = {"star3": 3, "fig5_tree": 2, "basilica": 5, "adding_machine": 5}
@@ -81,6 +85,48 @@ def test_both_memos_share_one_bound(monkeypatch):
     assert not fragile_member(aut, "a", 50)
     assert len(aut._cache["stab"]) == 10
     assert len(aut._cache["fragile"]) == 10
+
+
+def _random_machine(rng):
+    alphabet = [str(i) for i in range(rng.randint(2, 3))]
+    gens = ["s%d" % i for i in range(rng.randint(2, 4))]
+    records = [("e", x, "e", x) for x in alphabet]
+    for s in gens:
+        outputs = rng.sample(alphabet, len(alphabet))
+        records += [(s, x, rng.choice(gens + ["e"]), y) for x, y in zip(alphabet, outputs)]
+    return make_automaton(gens + ["e"], alphabet, records, sink="e"), gens
+
+
+def test_moved_word_is_first_in_prefix_order():
+    # brute force: words of length 1..k as letter-index tuples, sorted, so a
+    # prefix comes before its extensions; the first moved one is the answer
+    rng = random.Random(11)
+    for _ in range(300):
+        aut, gens = _random_machine(rng)
+        word = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(0, 6))]
+        n = len(aut.alphabet)
+        for k in range(4):
+            words = sorted(u for j in range(1, k + 1)
+                           for u in itertools.product(range(n), repeat=j))
+            moved = [tuple(aut.alphabet[i] for i in u) for u in words]
+            moved = [u for u in moved if apply_word(aut, word, u) != u]
+            expected = moved[0] if moved else None
+            assert _moved_word_at_level(aut, _encode_word(aut, word), k) == expected
+
+
+def test_moved_word_search_is_iterative():
+    # d_i = (d_{i+1}, id) and the last state swaps the letters: d1 fixes every
+    # level below n and moves 0^n, deeper than the default recursion limit
+    n = 1100
+    states = ["d%d" % i for i in range(1, n + 1)] + ["id"]
+    records = [("id", "0", "id", "0"), ("id", "1", "id", "1"),
+               (states[n - 1], "0", "id", "1"), (states[n - 1], "1", "id", "0")]
+    for i in range(n - 1):
+        records += [(states[i], "0", states[i + 1], "0"), (states[i], "1", "id", "1")]
+    aut = make_automaton(states, ["0", "1"], records, sink="id")
+    verdict = wp_fragile(aut, "d1", n, cap=2 ** (n + 1))
+    assert verdict.decision == "NonIdentity"
+    assert verdict.witness == ("0",) * n
 
 
 def test_positive_oracle_against_the_action(star, fig5):
