@@ -362,8 +362,10 @@ def _level_walk(aut, word, k, empty_leaves):
                 if res in seen:
                     continue
                 seen.add(res)
-                if depth == 1:
-                    result = not res if empty_leaves else True
+                if not res:                  # the empty word fixes every level
+                    result = True
+                elif depth == 1:
+                    result = not empty_leaves
                 else:
                     result = memo.get((res, depth - 1))
                     if result is None:

@@ -168,8 +168,11 @@ class _Inputs:
 
 
 def _write(report, path, text):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise FormatError("cannot write %s: %s" % (path, err.strerror)) from None
     report.add("written", path)
 
 

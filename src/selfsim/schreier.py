@@ -8,8 +8,7 @@ decorated graph as the enriched dual of a machine over the generator set
 yields an invertible transducer whose state g maps coset p to p.g.
 """
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .action import _reduced_code_words
 from .errors import BadAction, BadAssignment, FormatError, LevelTooLarge
@@ -193,11 +192,8 @@ def decorated_schreier_graph(action: FiniteAction, assignment=None) -> MealyAuto
     return MealyAutomaton(states, letters, next_map, out_map, sink=None)
 
 
-@dataclass(frozen=True)
-class LoopReport:
-    status: str               # Pass | Violations
-    violations: tuple         # (vertex, word letters) pairs
-    words_checked: int
+# status is Pass or Violations; violations are (vertex, word letters) pairs.
+LoopReport = namedtuple("LoopReport", "status violations words_checked")
 
 
 def verify_loop_shortening(aut: MealyAutomaton, max_len: int, cap=None) -> LoopReport:

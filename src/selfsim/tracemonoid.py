@@ -7,10 +7,8 @@ here: the lexicographic normal form, the pairwise projection criterion and
 an exact action-equality oracle over the residual pair graph.
 """
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from heapq import heapify, heappop, heappush
-from typing import Optional
 
 from .action import _step_word, positive_state_word
 from .errors import (
@@ -78,15 +76,18 @@ class TracePresentation:
             " ".join(self.letters), len(self.independent))
 
 
-@dataclass(frozen=True)
-class TraceWord:
-    pres: TracePresentation
-    letters: tuple
+class TraceWord(namedtuple("TraceWord", "pres letters")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for x in self.letters:
-            if x not in self.pres._order:
+    def __new__(cls, pres, letters):
+        for x in letters:
+            if x not in pres._order:
                 raise UnknownGenerator("letter %r is not in the presentation" % (x,))
+        return super().__new__(cls, pres, letters)
+
+    @classmethod
+    def _make(cls, iterable):        # so that _replace checks the letters too
+        return cls(*iterable)
 
     def erased(self):
         return tuple(x for x in self.letters if x != self.pres.sink)
@@ -191,10 +192,8 @@ def projections_equal(u: TraceWord, v: TraceWord) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ActionEq:
-    equal: bool
-    witness: Optional[tuple]     # input word where the two actions first differ
+# witness is the input word where the two actions first differ, or None.
+ActionEq = namedtuple("ActionEq", "equal witness")
 
 
 def semigroup_eq_via_action(aut: MealyAutomaton, u, v) -> ActionEq:
@@ -244,11 +243,8 @@ def _edge_orientation(aut: MealyAutomaton):
     return orient
 
 
-@dataclass(frozen=True)
-class PositiveIdentityReport:
-    status: str                  # Pass | Violations
-    violations: tuple
-    words_checked: int
+# status is Pass or Violations.
+PositiveIdentityReport = namedtuple("PositiveIdentityReport", "status violations words_checked")
 
 
 def check_acyclic_no_positive_identity(aut: MealyAutomaton, max_len: int,

@@ -8,9 +8,7 @@ identities level by level), nucleus computation, the reducibility scan,
 the symmetric level-one quotient and the abelian-or-free dichotomy.
 """
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Optional
+from collections import deque, namedtuple
 
 import itertools
 
@@ -48,18 +46,14 @@ from .limits import (
 from .mealy import MealyAutomaton, _cyclic_components, _refine_partition
 
 
-@dataclass(frozen=True)
-class WpVerdict:
+class WpVerdict(namedtuple("WpVerdict", "decision witness certificate method")):
     """Decision for one word: Identity or NonIdentity.
 
     NonIdentity carries a moved input word when one was exhibited; Identity
     carries a certificate: the residual closure for the closure method, the
     membership level for the level method.
     """
-    decision: str
-    witness: Optional[tuple]
-    certificate: Optional[tuple]
-    method: str
+    __slots__ = ()
 
     @property
     def identity(self) -> bool:
@@ -529,13 +523,10 @@ def _cycle_reachable(nodes, node_set, succ):
 
 # -- reducibility scan ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReducibilityReport:
-    status: str                       # Pass | Counterexample | Inconclusive
-    counterexample: Optional[tuple]   # (GroupWord, letter)
-    unresolved: tuple
-    words_scanned: int
-    max_chain: int
+# status is Pass, Counterexample or Inconclusive; counterexample is a
+# (GroupWord, letter) pair or None.
+ReducibilityReport = namedtuple(
+    "ReducibilityReport", "status counterexample unresolved words_scanned max_chain")
 
 
 def check_reducible(aut: MealyAutomaton, max_len: int, max_depth: int) -> ReducibilityReport:
@@ -692,11 +683,10 @@ def _sims_order(n: int, gens) -> int:
 
 # -- dichotomy ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DichotomyResult:
-    kind: str                      # Abelian | FreePair
-    component: Optional[int]       # index into the tuples
-    pair: Optional[tuple]          # indices of the two witnesses
+# kind is Abelian or FreePair; a FreePair names the component (an index into
+# the tuples) and the pair of witness indices, which are None for Abelian.
+class DichotomyResult(namedtuple("DichotomyResult", "kind component pair")):
+    __slots__ = ()
 
     def __str__(self):
         if self.kind == "Abelian":

@@ -102,6 +102,14 @@ CASES = [
     ("wp-missing-file", ["wp", "--automaton", "missing.aut", "-w", "a"], 1),
     ("dichotomy-missing-file", ["dichotomy", "--tuples", "missing.tuples"], 1),
     ("dichotomy-not-utf8", ["dichotomy", "--tuples", "not-utf8.tuples"], 1),
+    ("wp-fragile-kmax-exhausted",
+     ["wp", "--builtin", "adding_machine", "-w", "e e e e", "--method", "fragile",
+      "--kmax", "2"], 0),
+    ("wp-closure-certificate-truncated", ["wp", "--automaton", "trivial4.aut", "-w", "p q r s"], 0),
+    ("check-reducible-inconclusive",
+     ["check-reducible", "--builtin", "basilica", "--max-len", "2", "--max-depth", "0"], 0),
+    ("verify-loops-violations", ["verify-loops", "--action", "action1.txt", "--max-len", "2"], 0),
+    ("dual-out-unwritable", ["dual", "--builtin", "star3", "--out", "missing-dir/x.aut"], 1),
 ]
 
 

@@ -240,6 +240,19 @@ def test_two_interlocking_cycles_unbounded():
     assert not is_bounded(make_two_cycle_unbounded())
 
 
+def test_path_joining_two_cycles_unbounded():
+    # each cyclic component is one simple cycle, but a -> b joins them, so the
+    # sink-avoiding paths a^i b^(n-i) grow linearly with n
+    records = [
+        ("a", "0", "a", "0"), ("a", "1", "b", "1"),
+        ("b", "0", "b", "1"), ("b", "1", "id", "0"),
+        ("id", "0", "id", "0"), ("id", "1", "id", "1"),
+    ]
+    aut = make_automaton(["a", "b", "id"], ["0", "1"], records, sink="id")
+    assert not is_bounded(aut)
+    assert [sink_avoiding_path_count(aut, n) for n in range(6)] == [n + 2 for n in range(6)]
+
+
 def test_is_bounded_requires_sink(star):
     with pytest.raises(NoSink):
         is_bounded(dual(star))
