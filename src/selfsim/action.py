@@ -405,10 +405,63 @@ def _reduced_words(letters, inverse, max_len, include_empty):
         level = fresh
 
 
+def _reduced_sweep(letters, inverse, max_len, start, step):
+    """(word, value) for the nonempty freely reduced words of length <= max_len.
+
+    Same words in the same order as _reduced_words.  A word's value is
+    step(value of the word without its last letter, last letter), and the
+    empty word's value is `start`, so each value is computed once, from its
+    prefix.  Only words shorter than max_len are kept for extension: the
+    longest level is yielded as it is made and never stored.
+    """
+    level = [((), start)]
+    for n in range(1, max_len + 1):
+        keep = n < max_len
+        fresh = []
+        for word, value in level:
+            last_inverse = inverse[word[-1]] if word else None
+            for lt in letters:
+                if lt != last_inverse:
+                    child = word + (lt,)
+                    child_value = step(value, lt)
+                    yield child, child_value
+                    if keep:
+                        fresh.append((child, child_value))
+        level = fresh
+
+
+def _signed_codes(codes):
+    """Letters c1, -c1, c2, -c2, ... of positive codes, and their inverse map."""
+    letters = [c for code in codes for c in (code, -code)]
+    return letters, {c: -c for c in letters}
+
+
 def _reduced_code_words(codes, max_len: int, include_empty: bool = True):
     """Freely reduced code words over positive codes; letter order c1, -c1, c2, -c2, ..."""
-    letters = [c for code in codes for c in (code, -code)]
-    return _reduced_words(letters, {c: -c for c in letters}, max_len, include_empty)
+    letters, inverse = _signed_codes(codes)
+    return _reduced_words(letters, inverse, max_len, include_empty)
+
+
+def _check_sweep_cap(width, branching, max_len, per_word, cap, what):
+    """Raise LevelTooLarge when a sweep's work would pass `cap`.
+
+    The sweep visits `width` words of length 1 and `branching` times as
+    many at each further length, up to max_len, and does `per_word` units
+    of work for each.  Freely reduced words over letters closed under
+    inverses have branching width - 1; positive words have branching width.
+    The count stops at the first length past the cap, so it never costs
+    more than the sweep it guards, whatever max_len is.
+    """
+    cap = DEFAULT_LEVEL_CAP if cap is None else cap
+    total, count = 0, width
+    for _ in range(max_len):
+        if not count or total * per_word > cap:
+            break
+        total += count
+        count *= branching
+    if total * per_word > cap:
+        raise LevelTooLarge("%s would walk at least %d words, cap is %d"
+                            % (what, total * per_word, cap))
 
 
 def iter_reduced_words(generators, max_len: int, include_empty: bool = True):

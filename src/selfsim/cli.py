@@ -12,8 +12,6 @@ report), 2 usage error.
 """
 
 import argparse
-import hashlib
-import json
 import sys
 import time
 
@@ -90,6 +88,7 @@ class Report:
 
     def render(self, fmt):
         if fmt == "structured":
+            import json
             return json.dumps({"report": self.items}, indent=2) + "\n"
         return "".join("%s: %s\n" % (k, v) for k, v in self.items)
 
@@ -118,6 +117,7 @@ class _Inputs:
                 data = handle.read()
         except OSError as err:
             raise FormatError("cannot read %s: %s" % (path, err.strerror)) from None
+        import hashlib
         self.report.add("input", "file:%s" % path)
         self.report.add("input-sha256", hashlib.sha256(data).hexdigest())
         try:
@@ -282,7 +282,8 @@ def _exponent_sums(args, inputs, report, caps):
 
 
 def _check_reducible(args, inputs, report, caps):
-    rep = check_reducible(inputs.automaton(), args.max_len, args.max_depth)
+    rep = check_reducible(inputs.automaton(), args.max_len, args.max_depth,
+                          cap=caps.get("level_cap"))
     report.add("result", rep.status)
     report.add("words-scanned", rep.words_scanned)
     report.add("max-chain", rep.max_chain)

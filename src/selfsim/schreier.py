@@ -9,11 +9,11 @@ yields an invertible transducer whose state g maps coset p to p.g.
 """
 
 from collections import deque, namedtuple
+import operator
 
-from .action import _reduced_code_words
-from .errors import BadAction, BadAssignment, FormatError, LevelTooLarge
+from .action import _check_sweep_cap, _reduced_sweep, _signed_codes
+from .errors import BadAction, BadAssignment, FormatError
 from .graphgroup import SINK_NAME
-from .limits import DEFAULT_LEVEL_CAP
 from .mealy import MealyAutomaton, code_table, content_lines, enriched_dual, inverse_symbol
 
 
@@ -201,33 +201,39 @@ def verify_loop_shortening(aut: MealyAutomaton, max_len: int, cap=None) -> LoopR
 
     Walks every reduced word over the generators from every vertex of the
     enriched dual; when the walk closes, the output word with identity
-    letters erased has to be strictly shorter than the input.
+    letters erased has to be strictly shorter than the input.  The walks,
+    reduced words times vertices, must fit under the level cap.
+
+    One sweep over the reduced words carries, for each start vertex, the
+    end of the word's walk, or 0 once the walk erased an output letter; so
+    a word costs one table lookup per vertex.
     """
     ed = enriched_dual(aut)
     gens = [s for s in aut.states if s != aut.sink]
-    cap = DEFAULT_LEVEL_CAP if cap is None else cap
-    total = sum((2 * len(gens)) ** n for n in range(1, max_len + 1))
-    if total * len(ed.states) > cap:
-        raise LevelTooLarge("loop sweep would walk %d words" % (total * len(ed.states)))
+    width = 2 * len(gens)
+    _check_sweep_cap(width, width - 1, max_len, len(ed.states), cap, "loop sweep")
     # walk the enriched dual's integer tables: its states (the cosets) are
     # the codes 1..n, and it has no sink
     rows, aidx = ed.core().rows, ed._aidx
-    token = code_table([aidx[g] for g in gens], [aidx[inverse_symbol(g)] for g in gens])
-    letter = code_table([(g, 1) for g in gens], [(g, -1) for g in gens])
     erasable = {aidx.get(aut.sink), aidx.get(inverse_symbol(aut.sink))}
+    vertices = range(1, len(ed.states) + 1)
+
+    def ends(g):
+        """End vertex of each one-letter walk along g, 0 when it erases; 0 stays 0."""
+        t = aidx[g]
+        return [0] + [0 if rows[v][t][0] in erasable else rows[v][t][1] for v in vertices]
+
+    moves = code_table([ends(g) for g in gens], [ends(inverse_symbol(g)) for g in gens])
+    letter = code_table([(g, 1) for g in gens], [(g, -1) for g in gens])
+    start = tuple(vertices)
     violations = []
     checked = 0
-    for word in _reduced_code_words(range(1, len(gens) + 1), max_len, include_empty=False):
-        tokens = [token[c] for c in word]
-        for q in range(1, len(ed.states) + 1):
-            checked += 1
-            v, kept = q, 0
-            for t in tokens:
-                y, v = rows[v][t]
-                if y not in erasable:
-                    kept += 1
-            if v == q and kept >= len(word):
-                violations.append((ed.states[q - 1], tuple(map(letter.__getitem__, word))))
+    for word, walk in _reduced_sweep(*_signed_codes(range(1, len(gens) + 1)), max_len, start,
+                                     lambda walk, c: tuple(map(moves[c].__getitem__, walk))):
+        checked += len(start)
+        if any(map(operator.eq, walk, start)):
+            violations.extend((ed.states[q - 1], tuple(map(letter.__getitem__, word)))
+                              for q, end in zip(start, walk) if end == q)
     status = "Pass" if not violations else "Violations"
     return LoopReport(status, tuple(violations), checked)
 

@@ -10,16 +10,14 @@ an exact action-equality oracle over the residual pair graph.
 from collections import deque, namedtuple
 from heapq import heapify, heappop, heappush
 
-from .action import _step_word, positive_state_word
+from .action import _check_sweep_cap, _step_word, positive_state_word
 from .errors import (
     BadGraph,
-    LevelTooLarge,
     NotATree,
     PresentationMismatch,
     UnknownGenerator,
 )
 from .graphgroup import OrientedGraph, is_tree, line_graph_complement
-from .limits import DEFAULT_LEVEL_CAP
 from .mealy import MealyAutomaton, _cyclic_components
 from .wordproblem import is_identity
 
@@ -253,10 +251,7 @@ def check_acyclic_no_positive_identity(aut: MealyAutomaton, max_len: int,
     orient = _edge_orientation(aut)
     _require_no_directed_cycle(orient)
     gens = [s for s in aut.states if s != aut.sink]
-    cap = DEFAULT_LEVEL_CAP if cap is None else cap
-    total = sum(len(gens) ** n for n in range(1, max_len + 1))
-    if total > cap:
-        raise LevelTooLarge("positive sweep has %d words, cap is %d" % (total, cap))
+    _check_sweep_cap(len(gens), len(gens), max_len, 1, cap, "positive sweep")
     violations = []
     checked = 0
     words = [()]

@@ -14,6 +14,7 @@ import itertools
 
 from .action import (
     GroupWord,
+    _check_sweep_cap,
     _decode_word,
     _encode_word,
     _inverse,
@@ -21,10 +22,11 @@ from .action import (
     _level_walk,
     _memo,
     _product,
-    _reduced_code_words,
+    _reduced_sweep,
     _remember,
     _require_invertible_for,
     _restrict,
+    _signed_codes,
     _step_word,
     check_level_cap,
 )
@@ -368,28 +370,22 @@ def _first_words(aut, keys, max_len):
 
     One sweep over the reduced words, stopped once every key is found.  A
     candidate is keyed only when its level-one permutation, the first |X|
-    entries of a key, is that of a key still wanted; the permutation is composed
-    from the candidate's prefix, which the sweep met one length earlier.
-    Keys without such a word are missing from the result.  The machine must
-    be invertible.
+    entries of a key, is that of a key still wanted; the sweep composes the
+    permutation from the candidate's prefix.  Keys without such a word are
+    missing from the result.  The machine must be invertible.
     """
     rows, letters = aut.core().rows, range(len(aut.alphabet))
     codes = _gen_codes(aut)
     moves = {c: tuple(rows[c][x][0] for x in letters) for c in codes + [-c for c in codes]}
-    prefix_perms = {(): tuple(letters)}
+    identity = tuple(letters)
     pending = set(keys)
     found = {}
     perms = {key[:len(letters)] for key in pending}
-    for candidate in _reduced_code_words(codes, max_len):
+    sweep = _reduced_sweep(*_signed_codes(codes), max_len, identity,
+                           lambda perm, c: tuple(map(moves[c].__getitem__, perm)))
+    for candidate, perm in itertools.chain([((), identity)], sweep):
         if not pending:
             break
-        if candidate:
-            move = moves[candidate[-1]]
-            perm = tuple(move[y] for y in prefix_perms[candidate[:-1]])
-            if len(candidate) < max_len:
-                prefix_perms[candidate] = perm
-        else:
-            perm = prefix_perms[()]
         if perm not in perms:
             continue
         key = _element_key(aut, candidate)
@@ -529,34 +525,84 @@ ReducibilityReport = namedtuple(
     "ReducibilityReport", "status counterexample unresolved words_scanned max_chain")
 
 
-def check_reducible(aut: MealyAutomaton, max_len: int, max_depth: int) -> ReducibilityReport:
+class _Filled(dict):
+    """A dict whose missing entries are made by `fill(key)` on first lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def check_reducible(aut: MealyAutomaton, max_len: int, max_depth: int,
+                    cap=None) -> ReducibilityReport:
     """Scan all reduced words that fix a letter for residual chains that never shorten.
 
     For each such word, residuals taken at fixed letters are followed while
     their length stays equal to the word's; a chain that revisits a word is
     a proof that shortening never happens along it (Counterexample), a chain
     that only ends in shorter words or in words fixing no letter is fine.
-    Chains cut off by max_depth leave the word unresolved.
+    Chains cut off by max_depth leave the word unresolved.  The number of
+    words scanned must fit under the level cap.
+
+    One sweep over the reduced words carries, for each letter x, the image
+    of x and the last code of the residual at x while that residual keeps
+    the word's length (None once it is shorter, 0 for the empty word), as
+    one number per (x, image, last code) triple.  So a word costs one table
+    lookup per letter, and only a word with a same-length residual at a
+    fixed letter is walked.
     """
     if not aut.invertible:
         raise NotInvertible("reducibility scan needs an invertible automaton")
+    codes = _gen_codes(aut)
+    width = 2 * len(codes)
+    _check_sweep_cap(width, width - 1, max_len, 1, cap, "reducibility scan")
     rows, letters = aut.core().rows, range(len(aut.alphabet))
+    triples = []
+    # numbers of the triples that fix x, and of those whose residual keeps the length
+    fixed, long_fixed = set(), set()
+
+    def new_number(triple):
+        s = len(triples)
+        triples.append(triple)
+        x, y, last = triple
+        if x == y:
+            fixed.add(s)
+            if last:
+                long_fixed.add(s)
+        return s
+
+    number = _Filled(new_number)
+
+    def mover(c):
+        row = rows[c]
+
+        def move(s):
+            x, y, last = triples[s]
+            z, r = row[y]
+            return number[x, z, r if r and last is not None and r != -last else None]
+        return _Filled(move).__getitem__
+
+    signed, inverse = _signed_codes(codes)
+    moves = {c: mover(c) for c in signed}
+    start = tuple(number[x, x, 0] for x in letters)
     unresolved = []
     scanned = 0
     max_chain = 0
-
-    for ls in _reduced_code_words(_gen_codes(aut), max_len, include_empty=False):
+    for ls, value in _reduced_sweep(signed, inverse, max_len, start,
+                                    lambda value, c: tuple(map(moves[c], value))):
         scanned += 1
-        first_fixed = None
-        for x in letters:
-            if _step_word(rows, ls, x)[0] == x:
-                first_fixed = x
-                break
-        if first_fixed is None:
+        if fixed.isdisjoint(value) or (max_depth >= 0 and long_fixed.isdisjoint(value)):
             continue
         ok, chain, deep = _chains_shorten(rows, letters, ls, max_depth)
         max_chain = max(max_chain, chain)
         if not ok:
+            first_fixed = next(x for x in letters if value[x] in fixed)
             return ReducibilityReport(
                 "Counterexample", (_decode_word(aut, ls), aut.alphabet[first_fixed]),
                 (), scanned, max_chain)

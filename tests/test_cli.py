@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -246,6 +247,15 @@ def test_caps_env_raises_level_cap(monkeypatch):
     monkeypatch.setenv("SELFSIM_CAPS", "level=1000000")
     code, out = run_cli("fragile", "--builtin", "star3", "-w", "a", "-k", "3")
     assert code == 0
+
+
+def test_cli_import_loads_no_json_or_hashlib():
+    code = ("import sys, selfsim.cli; "
+            "print(' '.join(m for m in ('json', 'hashlib') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.split() == []
 
 
 def test_jobs_flag_does_not_change_output():

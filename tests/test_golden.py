@@ -110,6 +110,10 @@ CASES = [
      ["check-reducible", "--builtin", "basilica", "--max-len", "2", "--max-depth", "0"], 0),
     ("verify-loops-violations", ["verify-loops", "--action", "action1.txt", "--max-len", "2"], 0),
     ("dual-out-unwritable", ["dual", "--builtin", "star3", "--out", "missing-dir/x.aut"], 1),
+    ("check-reducible-level-cap",
+     ["check-reducible", "--builtin", "fig5_tree", "--max-len", "12", "--max-depth", "8"], 1),
+    ("check-acyclic-level-cap",
+     ["check-acyclic", "--builtin", "triangle_acyclic", "--max-len", "10000"], 1),
 ]
 
 

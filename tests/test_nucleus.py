@@ -305,6 +305,23 @@ def test_chain_walk_matches_the_recursive_walk():
     assert statuses == {"Pass", "Counterexample", "Inconclusive"}
 
 
+def test_sweep_scan_matches_the_reference_scan():
+    # the sweep skips the walk for words whose fixed letters all shorten at once,
+    # and max_depth < 0 still leaves every word that fixes a letter unresolved
+    rng = random.Random(7)
+    machines = [builtin_automaton(name) for name in ("star3", "basilica", "non_reducible_demo")]
+    machines += [_build(_random_machine(rng)) for _ in range(40)]
+    statuses = set()
+    for aut in machines:
+        report = check_reducible(aut, 3, -1)
+        assert report == _reference_check_reducible(aut, 3, -1)
+        statuses.add(report.status)
+    assert "Inconclusive" in statuses
+    for name in ("star3", "basilica"):
+        aut = builtin_automaton(name)
+        assert check_reducible(aut, 5, 8) == _reference_check_reducible(aut, 5, 8)
+
+
 def test_chain_walk_is_iterative():
     # s_i restricts to s_(i+1) at the one letter; the last state goes to the sink
     n = 3000

@@ -1,0 +1,175 @@
+"""The prefix-carrying reduced-word sweep and the scans built on it.
+
+`action._reduced_sweep` must list the words of `_reduced_code_words` in the
+same order, give each word the value folded over the whole word, and keep
+no value of its longest level.  The loop-shortening scan carries one end
+vertex per start vertex through it and must equal the per-word walk it
+replaced, kept below as the reference.  The reducibility, loop and
+positive-word sweeps refuse, before they start, a scan whose word count
+passes the level cap.
+"""
+
+import functools
+import random
+import weakref
+
+import pytest
+
+from selfsim import (
+    builtin_automaton,
+    check_acyclic_no_positive_identity,
+    check_reducible,
+    enriched_dual,
+    inverse_symbol,
+)
+from selfsim.action import (
+    _reduced_code_words,
+    _reduced_sweep,
+    _signed_codes,
+    iter_reduced_words,
+)
+from selfsim.errors import LevelTooLarge
+from selfsim.schreier import (
+    FiniteAction,
+    LoopReport,
+    build_reducible_automaton,
+    schreier_graph,
+    spanning_tree,
+    verify_loop_shortening,
+)
+
+
+def _fold(value, letter):
+    """An order-sensitive step: the value remembers every letter and its place."""
+    return value + (letter,)
+
+
+@pytest.mark.parametrize("codes", [[1], [1, 2], [1, 2, 3], [2, 5]])
+@pytest.mark.parametrize("max_len", [0, 1, 2, 4])
+def test_sweep_lists_the_reduced_words_with_their_folds(codes, max_len):
+    swept = list(_reduced_sweep(*_signed_codes(codes), max_len, ("start",), _fold))
+    words = list(_reduced_code_words(codes, max_len, include_empty=False))
+    assert [word for word, _ in swept] == words
+    assert all(value == functools.reduce(_fold, word, ("start",)) for word, value in swept)
+
+
+def test_sweep_over_letters_follows_iter_reduced_words():
+    letters = [(g, s) for g in "ab" for s in (1, -1)]
+    inverse = {(g, s): (g, -s) for g, s in letters}
+    swept = _reduced_sweep(letters, inverse, 3, 0, lambda n, letter: n + letter[1])
+    expected = iter_reduced_words("ab", 3, include_empty=False)
+    assert [(word, value) for word, value in swept] == [
+        (word, sum(s for _, s in word)) for word in expected]
+
+
+class _Value:
+    __slots__ = ("word", "__weakref__")
+
+    def __init__(self, word):
+        self.word = word
+
+
+def test_sweep_keeps_no_value_of_its_longest_level():
+    sweep = _reduced_sweep(*_signed_codes([1, 2]), 3, _Value(()),
+                           lambda value, c: _Value(value.word + (c,)))
+    longest = []
+    for word, value in sweep:
+        assert value.word == word
+        if len(word) == 3:
+            assert all(ref() is None for ref in longest)
+            longest.append(weakref.ref(value))
+    assert len(longest) == 4 * 3 * 3
+
+
+# -- loop shortening against the per-word walk ----------------------------------------
+
+def _reference_loops(aut, max_len):
+    """verify_loop_shortening as one whole walk per reduced word and start vertex."""
+    ed = enriched_dual(aut)
+    gens = [s for s in aut.states if s != aut.sink]
+    erasable = {aut.sink, inverse_symbol(aut.sink)}
+    violations, checked = [], 0
+    for word in iter_reduced_words(gens, max_len, include_empty=False):
+        tokens = [g if s > 0 else inverse_symbol(g) for g, s in word]
+        for q in ed.states:
+            checked += 1
+            v, kept = q, 0
+            for t in tokens:
+                if ed.out(v, t) not in erasable:
+                    kept += 1
+                v = ed.next(v, t)
+            if v == q and kept >= len(word):
+                violations.append((q, word))
+    return LoopReport("Pass" if not violations else "Violations", tuple(violations), checked)
+
+
+def _random_action(rng, degree):
+    """1-3 random permutations of 0..degree-1 that together act transitively."""
+    names = ["a", "b", "c"][:rng.randint(1, 3)]
+    while True:
+        perms = {g: tuple(rng.sample(range(degree), degree)) for g in names}
+        orbit, frontier = {0}, [0]
+        while frontier:
+            p = frontier.pop()
+            for images in perms.values():
+                if images[p] not in orbit:
+                    orbit.add(images[p])
+                    frontier.append(images[p])
+        if len(orbit) == degree:
+            return FiniteAction(names, degree, perms)
+
+
+def _random_assignment(rng, action):
+    """Random outputs, the sink included, on a random part of the spanning tree."""
+    outputs = list(action.generators) + ["id"]
+    return {(p, g): rng.choice(outputs)
+            for p, g, _ in spanning_tree(schreier_graph(action)) if rng.random() < 0.6}
+
+
+def test_loop_sweep_matches_the_per_word_walk():
+    rng = random.Random(808)
+    statuses = set()
+    for _ in range(60):
+        action = _random_action(rng, rng.randint(1, 6))
+        assignment = _random_assignment(rng, action) if rng.random() < 0.5 else None
+        aut = build_reducible_automaton(action, assignment)
+        max_len = rng.randint(1, 5)
+        report = verify_loop_shortening(aut, max_len)
+        assert report == _reference_loops(aut, max_len)
+        statuses.add(report.status)
+    for name in ("star3", "basilica", "adding_machine", "non_reducible_demo"):
+        aut = builtin_automaton(name)
+        assert verify_loop_shortening(aut, 3) == _reference_loops(aut, 3)
+    assert statuses == {"Pass", "Violations"}
+
+
+# -- the caps count the reduced words the sweeps walk ------------------------------------
+
+def test_loop_sweep_cap_counts_reduced_words():
+    # 2 generators: 4 * 3**(n - 1) reduced words of length n, 39,364 up to 9, from 5 cosets
+    aut = build_reducible_automaton(
+        FiniteAction(["a", "b"], 5, {"a": (1, 2, 3, 4, 0), "b": (1, 0, 2, 3, 4)}))
+    walks = 5 * sum(4 * 3 ** (n - 1) for n in range(1, 10))
+    assert walks == 196_820
+    assert verify_loop_shortening(aut, 9).words_checked == walks
+    assert verify_loop_shortening(aut, 9, cap=walks).words_checked == walks
+    with pytest.raises(LevelTooLarge):
+        verify_loop_shortening(aut, 9, cap=walks - 1)
+
+
+def test_reducibility_scan_cap_counts_reduced_words(star, fig5):
+    words = sum(6 * 5 ** (n - 1) for n in range(1, 4))
+    assert check_reducible(star, 3, 8, cap=words).words_scanned == words
+    with pytest.raises(LevelTooLarge):
+        check_reducible(star, 3, 8, cap=words - 1)
+    with pytest.raises(LevelTooLarge):
+        check_reducible(fig5, 12, 8)
+
+
+def test_positive_sweep_cap_counts_positive_words(triangle_acyclic):
+    words = 3 + 9 + 27
+    assert check_acyclic_no_positive_identity(triangle_acyclic, 3, cap=words).words_checked == words
+    with pytest.raises(LevelTooLarge):
+        check_acyclic_no_positive_identity(triangle_acyclic, 3, cap=words - 1)
+    with pytest.raises(LevelTooLarge):      # counted only up to the cap, then refused
+        check_acyclic_no_positive_identity(triangle_acyclic, 10 ** 6)
