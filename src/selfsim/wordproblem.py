@@ -307,11 +307,22 @@ def _lex_key(word):
     return tuple((abs(c), c < 0) for c in word)
 
 
-def shortest_representative(aut: MealyAutomaton, w, max_len: int):
-    """First reduced word equal to w in the group, by length then letter order."""
+def shortest_representative(aut: MealyAutomaton, w, max_len: int, cap=None):
+    """First reduced word equal to w in the group, by length then letter order.
+
+    The search never goes past |w| letters, since w itself is a candidate;
+    the number of words it may sweep up to min(max_len, |w|) must fit under
+    the level cap.
+    """
     if not aut.invertible:
         raise NotInvertible("shortest representative needs an invertible automaton")
-    key = _element_key(aut, _encode_word(aut, w))
+    if max_len < 0:
+        raise LevelTooLarge("representative length must be >= 0")
+    word = _encode_word(aut, w)
+    max_len = min(max_len, len(word))
+    width = 2 * len(_gen_codes(aut))
+    _check_sweep_cap(width, width - 1, max_len, 1, cap, "representative search")
+    key = _element_key(aut, word)
     found = _first_words(aut, {key}, max_len).get(key)
     return None if found is None else _decode_word(aut, found)
 
@@ -368,31 +379,58 @@ def _element_key(aut, word):
 def _first_words(aut, keys, max_len):
     """Shortlex-first reduced code word of length <= max_len for each element key.
 
-    One sweep over the reduced words, stopped once every key is found.  A
-    candidate is keyed only when its level-one permutation, the first |X|
-    entries of a key, is that of a key still wanted; the sweep composes the
-    permutation from the candidate's prefix.  Keys without such a word are
-    missing from the result.  The machine must be invertible.
+    Shortlex order over the reduced words, stopped once every key is found.
+    A candidate is keyed only when its level-one permutation, the first |X|
+    entries of a key, is that of a key still wanted; the permutation is
+    composed from the candidate's prefix.  One sweep covers the words up to
+    length max_len - 1 and keeps that last level.  The last length is not
+    swept: a prefix is extended only by the letters c with step(prefix
+    permutation, c) a wanted permutation, looked up in a table of
+    step(wanted, -c), in prefix order and then letter order, which is the
+    sweep's own order.  Keys without such a word are missing from the
+    result.  The machine must be invertible, so -c undoes c.
     """
-    rows, letters = aut.core().rows, range(len(aut.alphabet))
-    codes = _gen_codes(aut)
-    moves = {c: tuple(rows[c][x][0] for x in letters) for c in codes + [-c for c in codes]}
-    identity = tuple(letters)
+    rows, n = aut.core().rows, len(aut.alphabet)
+    signed, inverse = _signed_codes(_gen_codes(aut))
+    moves = {c: tuple(rows[c][x][0] for x in range(n)) for c in signed}
+    identity = tuple(range(n))
     pending = set(keys)
     found = {}
-    perms = {key[:len(letters)] for key in pending}
-    sweep = _reduced_sweep(*_signed_codes(codes), max_len, identity,
-                           lambda perm, c: tuple(map(moves[c].__getitem__, perm)))
-    for candidate, perm in itertools.chain([((), identity)], sweep):
-        if not pending:
-            break
-        if perm not in perms:
-            continue
+    perms = {key[:n] for key in pending}
+
+    def step(perm, c):
+        return tuple(map(moves[c].__getitem__, perm))
+
+    def take(candidate):
+        """Key a candidate; True once every key is found."""
+        nonlocal perms
         key = _element_key(aut, candidate)
         if key in pending:
             pending.remove(key)
             found[key] = candidate
-            perms = {key[:len(letters)] for key in pending}
+            perms = {key[:n] for key in pending}
+        return not pending
+
+    if not pending:
+        return found
+    last = []
+    sweep = _reduced_sweep(signed, inverse, max_len - 1, identity, step)
+    for candidate, perm in itertools.chain([((), identity)], sweep):
+        if perm in perms and take(candidate):
+            return found
+        if len(candidate) == max_len - 1:
+            last.append((candidate, perm))
+    ends = {}
+    for perm in perms:
+        for c in signed:
+            ends.setdefault(step(perm, -c), set()).add(c)
+    for prefix, perm in last:
+        allowed = ends.get(perm, ())
+        back = inverse[prefix[-1]] if prefix else None
+        for c in signed:
+            if c in allowed and c != back and step(perm, c) in perms \
+                    and take(prefix + (c,)):
+                return found
     return found
 
 
@@ -402,8 +440,24 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     Seeded with the states and their inverses closed under residuals; then,
     for every pair product, residual chains are followed until they re-enter
     the set, and the recurring elements (those on or past a residual cycle)
-    are adjoined.  Membership is one lookup of the element key.  Caps turn
-    non-stabilization into an error instead of a hang.
+    are adjoined.  Caps turn non-stabilization into an error instead of a
+    hang.
+
+    Each round numbers the set's elements 0..n-1 and keeps, for each, its
+    level-one permutation, the ids of its sections and the id of its
+    inverse.  One partition refinement over the n elements and the n²
+    products of two of them (_pair_blocks) then answers every membership
+    test of the round: each node of a residual graph carries the pair it
+    equals, and a pair is in the set when its block is, since equal
+    elements share a block.  An element adjoined in the round marks its
+    block, and its inverse's, so later tests in the round see it.
+
+    A pair examined in one round is not examined again.  Between two pair
+    examinations the set is closed under residuals and inverses, so a
+    residual graph loses, with each node that joins the set, all the nodes
+    below it: a later graph of the pair is what is left of its first one
+    once its cycles and all that they reach were adjoined, no deeper and
+    with nothing to adjoin.
     """
     if not aut.invertible:
         raise NotInvertible("nucleus needs an invertible automaton")
@@ -412,41 +466,60 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     rows, letters = aut.core().rows, range(len(aut.alphabet))
 
     reps = []
-    rep_of = {}                          # element key -> representative
 
-    def find_rep(ls):
-        return rep_of.get(_element_key(aut, ls))
-
-    def add_word(ls):
-        key = _element_key(aut, ls)
-        if key in rep_of:
-            return False
-        rep_of[key] = ls
+    def grow(ls):
         reps.append(ls)
         if len(reps) > size_cap:
             raise NotContractingWithinCaps(
                 "nucleus exceeded size cap %d" % size_cap)
-        return True
 
     # seed: identity, states, inverses, closed under residuals
-    add_word(())
+    seed_ids = {}                        # element key -> id
     seeds = [(c,) for c in _gen_codes(aut)]
     seeds += [(-c,) for c, in seeds]
-    for seed in seeds:
-        _, closure = _closure_scan(aut, seed, False)
-        for ls in closure:
-            add_word(ls)
+    for ls in itertools.chain([()], *(_closure_scan(aut, s, False)[1] for s in seeds)):
+        key = _element_key(aut, ls)
+        if key not in seed_ids:
+            seed_ids[key] = len(reps)
+            grow(ls)
 
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(reps)
-        for g in snapshot:
-            for h in snapshot:
-                w0 = _product(g, h)
-                if find_rep(w0) is not None:
+    def seed_id(ls):
+        return _within(seed_ids.get(_element_key(aut, ls)))
+
+    # level-one permutation, section ids and inverse id of each element
+    perm, sec, inv = [], [], []
+    for ls in reps:
+        steps = [_step_word(rows, ls, x) for x in letters]
+        perm.append(tuple(y for y, _ in steps))
+        sec.append(tuple(seed_id(res) for _, res in steps))
+        inv.append(seed_id(_inverse(ls)))
+
+    old = 0                              # elements whose pairs were all examined
+    while old < len(reps):
+        n = len(reps)
+        block = _pair_blocks(perm, sec)
+        inside = {k: k for k in range(n)}    # block in the set -> element id
+        origin = []                          # pair of each element adjoined
+
+        def kids_of(p):
+            a, b = divmod(p, n)
+            sb = sec[b]
+            return [s * n + sb[y] for s, y in zip(sec[a], perm[a])]
+
+        def add(ls, p):
+            blk = block[n + p]
+            if blk not in inside:
+                inside[blk] = len(reps)
+                origin.append(p)
+                grow(ls)
+
+        for i in range(n):
+            for j in range(old if i < old else 0, n):
+                if block[n + i * n + j] in inside:
                     continue
+                w0 = _product(reps[i], reps[j])
                 # residual graph of the product outside the current set
+                pair = {w0: i * n + j}
                 nodes = [w0]
                 node_set = {w0}
                 succ = {}
@@ -459,52 +532,84 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
                             "residual chains exceeded depth cap %d" % depth_cap)
                     nxt = []
                     for wl in frontier:
-                        kids = [_step_word(rows, wl, x)[1] for x in letters]
-                        succ[wl] = kids
-                        for r in kids:
-                            if r in node_set or find_rep(r) is not None:
+                        succ[wl] = kids = []     # residuals outside the set
+                        for x, q in zip(letters, kids_of(pair[wl])):
+                            if block[n + q] in inside:
                                 continue
-                            node_set.add(r)
-                            nodes.append(r)
-                            nxt.append(r)
+                            r = _step_word(rows, wl, x)[1]
+                            kids.append(r)
+                            if r not in node_set:
+                                node_set.add(r)
+                                nodes.append(r)
+                                nxt.append(r)
+                                pair[r] = q
                     frontier = nxt
-                persistent = _cycle_reachable(nodes, node_set, succ)
-                for wl in persistent:
-                    if add_word(wl):
-                        changed = True
-                    if add_word(_inverse(wl)):
-                        changed = True
+                for wl in _cycle_reachable(nodes, node_set, succ):
+                    a, b = divmod(pair[wl], n)
+                    add(wl, pair[wl])
+                    add(_inverse(wl), inv[b] * n + inv[a])
+
+        for p in origin:
+            a, b = divmod(p, n)
+            perm.append(tuple(perm[b][y] for y in perm[a]))
+            sec.append(tuple(_within(inside.get(block[n + q])) for q in kids_of(p)))
+            inv.append(_within(inside.get(block[n + inv[b] * n + inv[a]])))
+        old = n
 
     # shortest equal word of each representative whose search space is small
     width = 2 * len(_gen_codes(aut))
-    short = [ls for ls in reps
-             if sum(width ** n for n in range(len(ls) + 1)) <= 20000]
-    best = _first_words(aut, {_element_key(aut, ls) for ls in short},
-                        max(map(len, short), default=0))
-    final = {key: best.get(key, ls) for key, ls in rep_of.items()}
-    reps_final = sorted(final.values(), key=lambda ls: (len(ls), _lex_key(ls)))
+    keys = {k: _element_key(aut, ls) for k, ls in enumerate(reps)
+            if sum(width ** m for m in range(len(ls) + 1)) <= 20000}
+    best = _first_words(aut, set(keys.values()),
+                        max((len(reps[k]) for k in keys), default=0))
+    final = [best.get(keys[k], ls) if k in keys else ls for k, ls in enumerate(reps)]
+    order = sorted(range(len(reps)), key=lambda k: (len(final[k]), _lex_key(final[k])))
 
     alphabet = aut.alphabet
-    perms, sections = {}, {}
-    by_element = {ls: _decode_word(aut, ls) for ls in reps_final}
-    for ls in reps_final:
-        rep = by_element[ls]
-        perm, secs = {}, {}
-        for x in letters:
-            y, res = _step_word(rows, ls, x)
-            perm[alphabet[x]] = alphabet[y]
-            target = final.get(_element_key(aut, res))
-            if target is None:
-                raise NotContractingWithinCaps(
-                    "residual left the computed set; raise the caps")
-            secs[alphabet[x]] = by_element[target]
-        perms[rep] = perm
-        sections[rep] = secs
-    return Nucleus([by_element[ls] for ls in reps_final], perms, sections)
+    words = [_decode_word(aut, ls) for ls in final]
+    return Nucleus(
+        [words[k] for k in order],
+        {words[k]: {alphabet[x]: alphabet[y] for x, y in enumerate(perm[k])} for k in order},
+        {words[k]: {alphabet[x]: words[s] for x, s in enumerate(sec[k])} for k in order})
+
+
+def _within(k):
+    """An element id, or the error for a residual outside the computed set."""
+    if k is None:
+        raise NotContractingWithinCaps("residual left the computed set; raise the caps")
+    return k
+
+
+def _pair_blocks(perm, sec):
+    """Element classes of n elements and of the n² products of two of them.
+
+    Element k has the level-one permutation perm[k] and the section ids
+    sec[k].  State k < n is element k, and state n + a*n + b is the product
+    of a then b: its permutation is perm[b] after perm[a], and its section
+    at x is the pair (sec[a][x], sec[b][perm[a][x]]).  mealy._refine_partition
+    merges exactly the states that act alike on the tree, so distinct
+    elements keep blocks 0..n-1, and a pair lies in block k < n exactly
+    when it equals element k.
+    """
+    n = len(perm)
+    ids = {}                             # permutation -> its number
+    own = [ids.setdefault(p, len(ids)) for p in perm]
+    distinct = list(ids)
+    then = [[ids.setdefault(tuple(q[y] for y in p), len(ids)) for q in distinct]
+            for p in distinct]
+    outputs, succ = list(own), list(sec)
+    for pa, sa, oa in zip(perm, sec, own):
+        base = [n + s * n for s in sa]
+        row = then[oa]
+        outputs += [row[ob] for ob in own]
+        succ += [[t + sb[y] for t, y in zip(base, pa)] for sb in sec]
+    return _refine_partition(outputs, succ)
 
 
 def _cycle_reachable(nodes, node_set, succ):
     """Words lying on a residual cycle or reachable from one, discovery order."""
+    if len(nodes) == 1 and nodes[0] not in succ[nodes[0]]:
+        return []
     inner = {node: [r for r in succ[node] if r in node_set] for node in nodes}
     _, comps, cyclic = _cyclic_components(nodes, inner)
     persistent = {node for ci in cyclic for node in comps[ci]}

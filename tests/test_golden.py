@@ -114,6 +114,7 @@ CASES = [
      ["check-reducible", "--builtin", "fig5_tree", "--max-len", "12", "--max-depth", "8"], 1),
     ("check-acyclic-level-cap",
      ["check-acyclic", "--builtin", "triangle_acyclic", "--max-len", "10000"], 1),
+    ("nucleus-cycle6", ["nucleus", "--builtin", "cycle_6"], 0),
 ]
 
 

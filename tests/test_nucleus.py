@@ -4,7 +4,10 @@
 portrait of the machine that a word's residuals form.  Here the key must
 separate exactly the pairs the closure decider separates, must not depend
 on what the memo already holds, and the nucleus must equal the one built
-by the per-representative closure lookup, kept below as the reference.
+by the per-representative closure lookup, kept below as the reference,
+down to the cap error it raises under tight caps.  No pair product may be
+formed twice, and the shortlex search must find the words the closure
+search `_shortest` finds.
 The reducibility scan's explicit-stack chain walk is compared with the
 recursive walk it replaced, and the Aleshin machine is checked as a free,
 non-contracting fixture.
@@ -238,6 +241,62 @@ def test_shortest_representative_matches_the_closure_search(star):
         found = _shortest(star, _encode_word(star, w), 3)
         expected = None if found is None else _decode_word(star, found)
         assert shortest_representative(star, w, 3) == expected
+
+
+def test_nucleus_matches_the_closure_lookup_under_tight_caps():
+    # the depth-cap and size-cap errors fire at the same pair, with the same message
+    rng = random.Random(424242)
+    outcomes = set()
+    for _ in range(200):
+        machine = _random_machine(rng)
+        caps = {"depth_cap": rng.randint(1, 3), "size_cap": rng.randint(5, 20)}
+        got = _outcome(nucleus, _build(machine), **caps)
+        assert got == _outcome(_reference_nucleus, _build(machine), **caps)
+        outcomes.add(got[1].split(" cap ")[0] if isinstance(got[0], str) else "Nucleus")
+    assert outcomes == {"Nucleus", "residual chains exceeded depth", "nucleus exceeded size"}
+
+
+def test_each_pair_product_is_formed_once(monkeypatch):
+    # a pair examined in one round is not examined again in a later one
+    formed = []
+
+    def product(u, v):
+        formed.append((u, v))
+        return _product(u, v)
+
+    monkeypatch.setattr(selfsim.wordproblem, "_product", product)
+    for name in ("fig5_tree", "cycle_5"):
+        formed.clear()
+        nucleus(builtin_automaton(name))
+        assert formed and len(set(formed)) == len(formed)
+
+
+def _check_first_words(aut, rng, count):
+    """Lengths at which shortest_representative found a word of exactly max_len."""
+    gens = [s for s in aut.states if s != aut.sink]
+    letters = [(g, s) for g in gens for s in (1, -1)]
+    last_level = set()
+    for _ in range(count):
+        w = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
+        for max_len in range(5):
+            found = _shortest(aut, _encode_word(aut, w), max_len)
+            expected = None if found is None else _decode_word(aut, found)
+            assert shortest_representative(aut, w, max_len) == expected
+            if found is not None and len(found) == max_len:
+                last_level.add(max_len)
+    return last_level
+
+
+@pytest.mark.parametrize("name", ["basilica", "star3", "fig5_tree"])
+def test_first_words_match_the_shortest_reference(name):
+    assert _check_first_words(builtin_automaton(name), random.Random(name), 40) == {0, 1, 2, 3, 4}
+
+
+def test_first_words_match_the_shortest_reference_on_random_machines():
+    # three-letter machines have level-one permutations that are not involutions
+    rng = random.Random(31)
+    for _ in range(12):
+        _check_first_words(_build(_random_machine(rng)), rng, 4)
 
 
 def test_key_memo_is_bounded(monkeypatch):

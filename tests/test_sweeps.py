@@ -4,9 +4,9 @@
 same order, give each word the value folded over the whole word, and keep
 no value of its longest level.  The loop-shortening scan carries one end
 vertex per start vertex through it and must equal the per-word walk it
-replaced, kept below as the reference.  The reducibility, loop and
-positive-word sweeps refuse, before they start, a scan whose word count
-passes the level cap.
+replaced, kept below as the reference.  The reducibility, loop,
+positive-word and shortest-representative sweeps refuse, before they start,
+a scan whose word count passes the level cap.
 """
 
 import functools
@@ -21,6 +21,7 @@ from selfsim import (
     check_reducible,
     enriched_dual,
     inverse_symbol,
+    shortest_representative,
 )
 from selfsim.action import (
     _reduced_code_words,
@@ -164,6 +165,18 @@ def test_reducibility_scan_cap_counts_reduced_words(star, fig5):
         check_reducible(star, 3, 8, cap=words - 1)
     with pytest.raises(LevelTooLarge):
         check_reducible(fig5, 12, 8)
+
+
+def test_representative_search_cap_counts_reduced_words(star, fig5):
+    # the search never goes past |w|: 6 + 30 + 150 words up to length 3
+    words = sum(6 * 5 ** (n - 1) for n in range(1, 4))
+    assert shortest_representative(star, "a b c", 5, cap=words) is not None
+    with pytest.raises(LevelTooLarge):
+        shortest_representative(star, "a b c", 5, cap=words - 1)
+    with pytest.raises(LevelTooLarge):
+        shortest_representative(star, "a", -3)
+    with pytest.raises(LevelTooLarge):      # 10 * 9**(n - 1) words of length n
+        shortest_representative(fig5, "e1 e2 e3 e4 e5 e1 e2 e3 e4 e5", 10)
 
 
 def test_positive_sweep_cap_counts_positive_words(triangle_acyclic):
