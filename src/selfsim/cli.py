@@ -6,6 +6,10 @@ report of "key: value" lines (repeated keys form sections).  With
 ``--format structured`` the same pairs are emitted as JSON.  Reports are
 byte-reproducible; wall-clock timing is only added on request.  COMMANDS
 declares each subcommand once; the parser and the dispatch are built from it.
+A call builds only its own subcommand's parser.  The modules every call
+loads (action, mealy) are imported here; the graph, word problem, trace and
+coset engines are imported by the code that calls them, so a call loads only
+those it uses.
 
 Exit status: 0 success, 1 domain error (the error class name is in the
 report), 2 usage error.
@@ -24,12 +28,6 @@ from .action import (
     parse_word,
 )
 from .errors import BadGraph, FormatError, SelfSimError
-from .graphgroup import (
-    OrientedGraph,
-    build_graph_automaton,
-    builtin,
-    load_graph,
-)
 from .limits import caps_from_env, positive_int
 from .mealy import (
     bisimulation_classes,
@@ -42,35 +40,6 @@ from .mealy import (
     power,
     symbol_str,
     to_dot,
-)
-from .schreier import (
-    build_reducible_automaton,
-    decorated_schreier_graph,
-    load_action,
-    load_assignment,
-    verify_loop_shortening,
-)
-from .tracemonoid import (
-    check_acyclic_no_positive_identity,
-    check_cycle_torsion,
-    equivalent,
-    normal_form,
-    presentation_from_tree,
-    projections_equal,
-    semigroup_eq_via_action,
-    trace_word,
-)
-from .wordproblem import (
-    check_reducible,
-    dichotomy,
-    embed_in_product,
-    exponent_sums,
-    fragile_member,
-    is_identity,
-    is_identity_in_Gk,
-    nucleus,
-    sym_quotient_order,
-    wp_fragile,
 )
 
 _CERT_LINES = 64
@@ -126,7 +95,8 @@ class _Inputs:
             raise FormatError("%s is not UTF-8 text (bad byte at offset %d)"
                               % (path, err.start)) from None
 
-    def graph(self) -> OrientedGraph:
+    def graph(self):
+        from .graphgroup import OrientedGraph, builtin, load_graph
         args = self.args
         if args.builtin:
             obj = builtin(args.builtin)
@@ -142,6 +112,7 @@ class _Inputs:
         args = self.args
         if args.automaton:
             return load_automaton(self._read(args.automaton))
+        from .graphgroup import OrientedGraph, build_graph_automaton, builtin, load_graph
         if args.graph:
             return build_graph_automaton(load_graph(self._read(args.graph)))
         if args.builtin:
@@ -149,16 +120,19 @@ class _Inputs:
             self.report.add("input", "builtin:%s" % args.builtin)
             return build_graph_automaton(obj) if isinstance(obj, OrientedGraph) else obj
         if args.action:
+            from .schreier import build_reducible_automaton
             return build_reducible_automaton(self.action(), self.assignment())
         raise BadGraph("this command needs an automaton source")
 
     def action(self):
         if not self.args.action:
             raise BadGraph("this command needs --action FILE")
+        from .schreier import load_action
         return load_action(self._read(self.args.action))
 
     def assignment(self):
         if self.args.assignment:
+            from .schreier import load_assignment
             return load_assignment(self._read(self.args.assignment))
         return None
 
@@ -190,6 +164,7 @@ def _emit_automaton(report, aut, out_path):
 # -- handlers: each fills the report of one subcommand -----------------------
 
 def _build_graph_automaton(args, inputs, report, caps):
+    from .graphgroup import build_graph_automaton
     _emit_automaton(report, build_graph_automaton(inputs.graph()), args.out)
 
 
@@ -214,6 +189,7 @@ def _export_dot(args, inputs, report, caps):
 
 
 def _wp(args, inputs, report, caps):
+    from .wordproblem import is_identity, wp_fragile
     aut = inputs.automaton()
     report.add("word", args.word)
     report.add("method", args.method)
@@ -240,6 +216,7 @@ def _wp(args, inputs, report, caps):
 
 
 def _nucleus(args, inputs, report, caps):
+    from .wordproblem import nucleus
     aut = inputs.automaton()
     nuc = nucleus(
         aut,
@@ -253,9 +230,11 @@ def _nucleus(args, inputs, report, caps):
             "%s:%s" % (symbol_str(x), format_word(secs[x])) for x in aut.alphabet))
 
 
-def _level_query(key, decide):
-    """Handler reporting `decide(aut, word, k, cap=level cap)` under `key`."""
+def _level_query(key, name):
+    """Handler reporting `wordproblem.<name>(aut, word, k, cap=level cap)` under `key`."""
     def handler(args, inputs, report, caps):
+        from . import wordproblem
+        decide = getattr(wordproblem, name)
         aut = inputs.automaton()
         report.add("word", args.word)
         report.add("k", args.k)
@@ -264,6 +243,7 @@ def _level_query(key, decide):
 
 
 def _embed(args, inputs, report, caps):
+    from .wordproblem import embed_in_product
     aut = inputs.automaton()
     report.add("word", args.word)
     report.add("k", args.k)
@@ -274,6 +254,7 @@ def _embed(args, inputs, report, caps):
 
 
 def _exponent_sums(args, inputs, report, caps):
+    from .wordproblem import exponent_sums
     aut = inputs.automaton()
     gens = [s for s in aut.states if s != aut.sink]
     sums = exponent_sums(parse_word(args.word, aut), gens)
@@ -282,6 +263,7 @@ def _exponent_sums(args, inputs, report, caps):
 
 
 def _check_reducible(args, inputs, report, caps):
+    from .wordproblem import check_reducible
     rep = check_reducible(inputs.automaton(), args.max_len, args.max_depth,
                           cap=caps.get("level_cap"))
     report.add("result", rep.status)
@@ -296,10 +278,12 @@ def _check_reducible(args, inputs, report, caps):
 
 
 def _sym_quotient(args, inputs, report, caps):
+    from .wordproblem import sym_quotient_order
     report.add("order", sym_quotient_order(inputs.automaton(), cap=caps.get("quotient_cap")))
 
 
 def _dichotomy(args, inputs, report, caps):
+    from .wordproblem import dichotomy
     rows = inputs.tuples()
     result = dichotomy(rows)
     report.add("tuples", len(rows))
@@ -310,12 +294,16 @@ def _dichotomy(args, inputs, report, caps):
 
 
 def _trace_nf(args, inputs, report, caps):
+    from .tracemonoid import normal_form, presentation_from_tree, trace_word
     word = trace_word(presentation_from_tree(inputs.graph()), args.u)
     report.add("word", args.u)
     report.add("normal-form", str(normal_form(word)))
 
 
 def _trace_eq(args, inputs, report, caps):
+    from .graphgroup import build_graph_automaton
+    from .tracemonoid import (equivalent, presentation_from_tree, projections_equal,
+                              semigroup_eq_via_action, trace_word)
     graph = inputs.graph()
     pres = presentation_from_tree(graph)
     u = trace_word(pres, args.u)
@@ -351,6 +339,7 @@ def _dual_path(args, inputs, report, caps):
 
 
 def _check_acyclic(args, inputs, report, caps):
+    from .tracemonoid import check_acyclic_no_positive_identity
     rep = check_acyclic_no_positive_identity(
         inputs.automaton(), args.max_len, cap=caps.get("level_cap"))
     report.add("result", rep.status)
@@ -360,6 +349,7 @@ def _check_acyclic(args, inputs, report, caps):
 
 
 def _cycle_torsion(args, inputs, report, caps):
+    from .tracemonoid import check_cycle_torsion
     aut = inputs.automaton()
     report.add("word", args.word)
     report.add("k", args.k)
@@ -367,6 +357,7 @@ def _cycle_torsion(args, inputs, report, caps):
 
 
 def _schreier_gen(args, inputs, report, caps):
+    from .schreier import build_reducible_automaton, decorated_schreier_graph
     action = inputs.action()
     assignment = inputs.assignment()
     aut = build_reducible_automaton(action, assignment)
@@ -381,6 +372,7 @@ def _schreier_gen(args, inputs, report, caps):
 
 
 def _verify_loops(args, inputs, report, caps):
+    from .schreier import verify_loop_shortening
     rep = verify_loop_shortening(inputs.automaton(), args.max_len, cap=caps.get("level_cap"))
     report.add("result", rep.status)
     report.add("words-checked", rep.words_checked)
@@ -429,9 +421,9 @@ COMMANDS = (
     ("nucleus", "nucleus of the generated group", _MACHINE,
      [_arg("--depth-cap", type=positive_int, default=None),
       _arg("--size-cap", type=positive_int, default=None)], _nucleus),
-    ("fragile", None, _MACHINE, [_WORD, _K], _level_query("member", fragile_member)),
+    ("fragile", None, _MACHINE, [_WORD, _K], _level_query("member", "fragile_member")),
     ("gk-identity", None, _MACHINE, [_WORD, _K],
-     _level_query("identity-in-Gk", is_identity_in_Gk)),
+     _level_query("identity-in-Gk", "is_identity_in_Gk")),
     ("embed", "level-k residual components", _MACHINE, [_WORD, _K], _embed),
     ("exponent-sums", None, _MACHINE, [_WORD], _exponent_sums),
     ("check-reducible", None, _MACHINE,
@@ -454,6 +446,31 @@ COMMANDS = (
 )
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """Parser of one COMMANDS row, built when argparse dispatches to it.
+
+    The top parser lists every subcommand's name and help line, so its help,
+    usage and errors need no subcommand parser.  Only the invoked subcommand
+    builds its parser and arguments, when argparse hands it its arguments
+    through parse_known_args(arg_strings, None).
+    """
+
+    def __init__(self, row, **options):
+        self._row, self._options = row, options
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._row is not None:
+            _, _, sources, arguments, handler = self._row
+            self._row = None
+            super().__init__(**self._options)
+            for source in sources:
+                self.add_argument("--" + source, help=_SOURCE_HELP[source])
+            for flags, options in arguments:
+                self.add_argument(*flags, **options)
+            self.set_defaults(handler=handler)
+        return super().parse_known_args(args, namespace)
+
+
 def _parser():
     top = argparse.ArgumentParser(
         prog="selfsim",
@@ -464,14 +481,10 @@ def _parser():
     top.add_argument("--jobs", type=int, default=1,
                      help="accepted for compatibility; sweeps run sequentially")
     top.set_defaults(**dict.fromkeys(_SOURCE_HELP))
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, help_text, sources, arguments, handler in COMMANDS:
-        p = sub.add_parser(name, **({"help": help_text} if help_text else {}))
-        for source in sources:
-            p.add_argument("--" + source, help=_SOURCE_HELP[source])
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
-        p.set_defaults(handler=handler)
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for row in COMMANDS:
+        name, help_text = row[:2]
+        sub.add_parser(name, row=row, **({"help": help_text} if help_text else {}))
     return top
 
 

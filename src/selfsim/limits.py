@@ -5,10 +5,10 @@ are exact but can be asked for absurd sizes; these caps turn runaway
 requests into errors instead of hangs.  The CLI reads SELFSIM_CAPS to raise
 them: either a bare integer (level cap) or comma separated pairs like
 ``level=2000000,quotient=9,nucleus-depth=64,nucleus-size=1024``.  Every cap
-is a positive integer.  MEMO_LIMIT and MAX_POWER_STATES are plain constants
-with no SELFSIM_CAPS key; MEMO_LIMIT bounds each memo a machine keeps: the
-closure verdicts (`wp`), the level walks (`stab`, `fragile`) and the
-nucleus element keys (`key`).
+is a positive integer, and each key may appear once.  MEMO_LIMIT and
+MAX_POWER_STATES are plain constants with no SELFSIM_CAPS key; MEMO_LIMIT
+bounds each memo a machine keeps: the closure verdicts (`wp`), the level
+walks (`stab`, `fragile`) and the nucleus element keys (`key`).
 """
 
 import os
@@ -61,6 +61,8 @@ def caps_from_env(environ=None) -> dict:
         key = key.strip()
         if key not in _KEYS:
             raise FormatError("unknown SELFSIM_CAPS key %r" % key)
+        if _KEYS[key] in out:
+            raise FormatError("duplicate SELFSIM_CAPS key %r" % key)
         try:
             out[_KEYS[key]] = positive_int(value)
         except ValueError:

@@ -9,8 +9,9 @@ an exact action-equality oracle over the residual pair graph.
 
 from collections import deque, namedtuple
 from heapq import heapify, heappop, heappush
+from itertools import product
 
-from .action import _check_sweep_cap, _step_word, positive_state_word
+from .action import _check_sweep_cap, _encode_word, _step_word, positive_state_word
 from .errors import (
     BadGraph,
     NotATree,
@@ -19,7 +20,7 @@ from .errors import (
 )
 from .graphgroup import OrientedGraph, is_tree, line_graph_complement
 from .mealy import MealyAutomaton, _cyclic_components
-from .wordproblem import is_identity
+from .wordproblem import _closure_scan, is_identity
 
 
 class TracePresentation:
@@ -252,14 +253,15 @@ def check_acyclic_no_positive_identity(aut: MealyAutomaton, max_len: int,
     _require_no_directed_cycle(orient)
     gens = [s for s in aut.states if s != aut.sink]
     _check_sweep_cap(len(gens), len(gens), max_len, 1, cap, "positive sweep")
+    codes = [_encode_word(aut, (g,))[0] for g in gens]
     violations = []
     checked = 0
-    words = [()]
-    for _ in range(max_len):
-        words = [w + (g,) for w in words for g in gens]
-        for w in words:
+    for n in range(1, max_len + 1):
+        # words of each length in product order, decided by one closure scan
+        # each, with no memo entry: the words are streamed, never stored
+        for w, word in zip(product(gens, repeat=n), product(codes, repeat=n)):
             checked += 1
-            if is_identity(aut, w).identity:
+            if _closure_scan(aut, word, True)[0] is None:
                 violations.append(w)
     status = "Pass" if not violations else "Violations"
     return PositiveIdentityReport(status, tuple(violations), checked)

@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
-from selfsim.cli import COMMANDS, main
+from selfsim.cli import _SOURCE_HELP, COMMANDS, main
+
+SRC = pathlib.Path(__file__).parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -249,13 +251,29 @@ def test_caps_env_raises_level_cap(monkeypatch):
     assert code == 0
 
 
-def test_cli_import_loads_no_json_or_hashlib():
-    code = ("import sys, selfsim.cli; "
-            "print(' '.join(m for m in ('json', 'hashlib') if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
-    result = subprocess.run([sys.executable, "-S", "-c", code],
+def loaded_after(code, modules):
+    """Which of `modules` a new interpreter has loaded after running `code`."""
+    probe = "%s; import sys; print(' '.join(m for m in %r if m in sys.modules), file=sys.stderr)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-S", "-c", probe % (code, modules)],
                             capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.split() == []
+    return result.stderr.split()
+
+
+def test_cli_import_loads_no_json_or_hashlib():
+    assert loaded_after("import selfsim.cli", ("json", "hashlib")) == []
+
+
+ENGINE = ("selfsim.wordproblem", "selfsim.tracemonoid", "selfsim.schreier")
+
+
+def test_cli_import_loads_no_engine_module():
+    assert loaded_after("import selfsim.cli", ENGINE) == []
+
+
+def test_cli_call_loads_only_the_modules_it_uses():
+    call = "import selfsim.cli; selfsim.cli.main(['nucleus', '--builtin', 'basilica'])"
+    assert loaded_after(call, ENGINE) == ["selfsim.wordproblem"]
 
 
 def test_jobs_flag_does_not_change_output():
@@ -278,3 +296,56 @@ def test_readme_lists_the_subcommand_table():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     listed = readme.split("Subcommands:", 1)[1].split(".\n", 1)[0]
     assert re.findall(r"`([^`]+)`", listed) == [entry[0] for entry in COMMANDS]
+
+
+# -- help and usage bytes -----------------------------------------------------
+
+def _reference_parser():
+    """The eager parser: every subcommand parser and argument built up front.
+
+    Built from the same COMMANDS table, so the CLI's help and usage bytes are
+    compared with this on whatever argparse runs the tests.
+    """
+    import argparse
+    top = argparse.ArgumentParser(
+        prog="selfsim",
+        description="automaton groups and semigroups: exact decisions and constructions")
+    top.add_argument("--format", choices=("text", "structured"), default="text")
+    top.add_argument("--timing", action="store_true",
+                     help="append elapsed milliseconds (breaks reproducibility)")
+    top.add_argument("--jobs", type=int, default=1,
+                     help="accepted for compatibility; sweeps run sequentially")
+    top.set_defaults(**dict.fromkeys(_SOURCE_HELP))
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, help_text, sources, arguments, handler in COMMANDS:
+        p = sub.add_parser(name, **({"help": help_text} if help_text else {}))
+        for source in sources:
+            p.add_argument("--" + source, help=_SOURCE_HELP[source])
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=handler)
+    return top
+
+
+PARSER_CASES = (
+    [["--help"], ["-h"]]
+    + [[row[0], "--help"] for row in COMMANDS]
+    + [[], ["bogus"], ["nuc"], ["--format", "bogus", "nucleus"], ["--jobs", "x", "wp"],
+       ["wp", "--builtin", "star3"], ["wp"], ["wp", "-w", "a", "--method", "bogus"],
+       ["power", "--builtin", "star3", "-n", "x"], ["nucleus", "--size-cap", "0"],
+       ["nucleus", "--builtin", "basilica", "--bogus"], ["--bogus", "wp"],
+       ["--help", "wp"], ["wp", "--help", "nucleus"], ["dichotomy"]])
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=[" ".join(a) or "-" for a in PARSER_CASES])
+def test_help_and_usage_match_the_eager_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as stop:
+            _reference_parser().parse_args(argv)
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    result = subprocess.run([sys.executable, "-m", "selfsim.cli"] + argv,
+                            capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        stop.value.code, out.getvalue(), err.getvalue())

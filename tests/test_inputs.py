@@ -46,6 +46,13 @@ def test_env_caps_must_be_positive(raw):
         caps_from_env({"SELFSIM_CAPS": raw})
 
 
+@pytest.mark.parametrize("raw", ["level=5,level=7", "quotient=9, nucleus-size=4,quotient=9"])
+def test_env_caps_reject_a_repeated_key(raw):
+    key = raw.partition("=")[0]
+    with pytest.raises(FormatError, match="duplicate SELFSIM_CAPS key %r" % key):
+        caps_from_env({"SELFSIM_CAPS": raw})
+
+
 def test_env_caps_accepts_positive_values():
     assert caps_from_env({"SELFSIM_CAPS": "7"}) == {"level_cap": 7}
     assert caps_from_env({"SELFSIM_CAPS": "quotient=9, nucleus-depth=1"}) == {

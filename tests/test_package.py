@@ -1,0 +1,88 @@
+"""The package namespace: every public name, loaded from its submodule on first use.
+
+The import-footprint checks run in fresh interpreters (``-S``, so no site
+hook imports anything), because the test process has loaded every module.
+"""
+
+import importlib
+import os
+import pathlib
+import subprocess
+import sys
+
+import selfsim
+
+SRC = pathlib.Path(__file__).parents[1] / "src"
+
+# the public names of the package, by the submodule that defines them
+PUBLIC = {
+    "errors": ["SelfSimError"],
+    "mealy": ["MealyAutomaton", "bisimulation_classes", "bisimulation_quotient",
+              "disjoint_union", "dual", "dump_automaton", "enriched_dual", "inverse",
+              "inverse_symbol", "is_bounded", "is_invertible", "is_reduced", "load_automaton",
+              "make_automaton", "power", "symbol_str", "to_dot"],
+    "graphgroup": ["OrientedGraph", "build_graph_automaton", "builtin", "builtin_automaton",
+                   "dump_graph", "is_tree", "line_graph_complement", "load_graph"],
+    "action": ["DualPath", "GroupWord", "SelfSimilarRep", "apply_word", "commutator",
+               "dual_path", "erase_id", "find_noose", "format_word", "level1_permutation",
+               "loops_at", "parse_word", "reduce_word", "restrict_word", "stabilizes_level",
+               "transposition_word", "wreath"],
+    "wordproblem": ["Nucleus", "WpVerdict", "check_reducible", "dichotomy", "elements_equal",
+                    "embed_in_product", "exponent_sums", "fragile_index", "fragile_member",
+                    "is_identity", "is_identity_in_Gk", "nucleus", "restriction_closure",
+                    "shortest_representative", "sym_quotient_order", "virtual_endo",
+                    "wp_fragile"],
+    "tracemonoid": ["TracePresentation", "TraceWord", "check_acyclic_no_positive_identity",
+                    "check_cycle_torsion", "equivalent", "normal_form",
+                    "presentation_from_tree", "projections_equal", "rewrite_step",
+                    "semigroup_eq_via_action", "trace_word"],
+    "schreier": ["FiniteAction", "SchreierGraph", "build_reducible_automaton",
+                 "decorated_schreier_graph", "dump_action", "load_action", "schreier_graph",
+                 "spanning_tree", "verify_loop_shortening"],
+}
+SUBMODULES = ["action", "errors", "graphgroup", "limits", "mealy", "schreier", "tracemonoid",
+              "wordproblem"]
+
+
+def fresh(code):
+    """Stdout of `code` run in a new interpreter that has the package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
+def test_public_names_are_the_submodule_objects():
+    assert sum(len(names) for names in PUBLIC.values()) == 80
+    for module, names in PUBLIC.items():
+        home = importlib.import_module("selfsim." + module)
+        for name in names:
+            assert getattr(selfsim, name) is getattr(home, name), name
+
+
+def test_star_import_binds_every_public_name_and_submodule():
+    namespace = {}
+    exec("from selfsim import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(
+        [name for names in PUBLIC.values() for name in names] + SUBMODULES)
+    assert all(namespace[name] is getattr(selfsim, name) for name in namespace)
+    assert set(dir(selfsim)) >= set(namespace)
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert not hasattr(selfsim, "no_such_name")
+
+
+def test_package_import_loads_no_engine_module():
+    loaded = fresh("import sys, selfsim; "
+                   "print(' '.join(m for m in sys.modules if m.startswith('selfsim.')))")
+    assert loaded.split() == ["selfsim.errors"]
+
+
+def test_submodules_resolve_after_a_bare_import():
+    # tests patch selfsim.action.MEMO_LIMIT and selfsim.wordproblem.MEMO_LIMIT
+    out = fresh("import sys, selfsim; "
+                "print(selfsim.action is sys.modules['selfsim.action'], "
+                "selfsim.wordproblem.MEMO_LIMIT == selfsim.limits.MEMO_LIMIT, "
+                "selfsim.nucleus is sys.modules['selfsim.wordproblem'].nucleus)")
+    assert out.split() == ["True", "True", "True"]

@@ -4,7 +4,8 @@
 same order, give each word the value folded over the whole word, and keep
 no value of its longest level.  The loop-shortening scan carries one end
 vertex per start vertex through it and must equal the per-word walk it
-replaced, kept below as the reference.  The reducibility, loop,
+replaced, kept below as the reference, and the positive-word scan streams
+the words that a stored list of each length gave.  The reducibility, loop,
 positive-word and shortest-representative sweeps refuse, before they start,
 a scan whose word count passes the level cap.
 """
@@ -21,6 +22,8 @@ from selfsim import (
     check_reducible,
     enriched_dual,
     inverse_symbol,
+    is_identity,
+    make_automaton,
     shortest_representative,
 )
 from selfsim.action import (
@@ -29,7 +32,7 @@ from selfsim.action import (
     _signed_codes,
     iter_reduced_words,
 )
-from selfsim.errors import LevelTooLarge
+from selfsim.errors import BadGraph, LevelTooLarge
 from selfsim.schreier import (
     FiniteAction,
     LoopReport,
@@ -186,3 +189,46 @@ def test_positive_sweep_cap_counts_positive_words(triangle_acyclic):
         check_acyclic_no_positive_identity(triangle_acyclic, 3, cap=words - 1)
     with pytest.raises(LevelTooLarge):      # counted only up to the cap, then refused
         check_acyclic_no_positive_identity(triangle_acyclic, 10 ** 6)
+
+
+def _positive_identities(aut, max_len):
+    """Positive identities up to max_len: each length stored as a list and queried."""
+    gens = [s for s in aut.states if s != aut.sink]
+    violations, words = [], [()]
+    for _ in range(max_len):
+        words = [w + (g,) for w in words for g in gens]
+        violations += [w for w in words if is_identity(aut, w).identity]
+    return violations
+
+
+def _oriented_machine(rng):
+    """A machine whose states each loop on exactly one letter, so they read as edges."""
+    alphabet = [str(i) for i in range(rng.randint(2, 3))]
+    gens = ["s%d" % i for i in range(rng.randint(1, 3))]
+    records = [("e", x, "e", x) for x in alphabet]
+    for s in gens:
+        tail = rng.choice(alphabet)
+        targets = [g for g in gens if g != s] + ["e"]
+        records += [(s, x, s if x == tail else rng.choice(targets), y)
+                    for x, y in zip(alphabet, rng.sample(alphabet, len(alphabet)))]
+    return make_automaton(gens + ["e"], alphabet, records, sink="e")
+
+
+def test_positive_scan_streams_the_listed_words_and_keeps_no_memo():
+    # edge-shaped machines that are not graph automata can have positive identities
+    rng = random.Random(17)
+    tested = with_violations = 0
+    for _ in range(1000):
+        aut = _oriented_machine(rng)
+        try:
+            report = check_acyclic_no_positive_identity(aut, 4)
+        except BadGraph:
+            continue
+        assert "wp" not in aut._cache
+        gens = len(aut.states) - 1
+        assert report.words_checked == sum(gens ** n for n in range(1, 5))
+        assert list(report.violations) == _positive_identities(aut, 4)
+        assert report.status == ("Violations" if report.violations else "Pass")
+        tested += 1
+        with_violations += bool(report.violations)
+    assert tested > 250 and with_violations > 10
