@@ -19,6 +19,7 @@ what it returns.
 
 from collections import deque
 import itertools
+import operator
 
 from .errors import (
     AlphabetMismatch,
@@ -386,47 +387,28 @@ def iter_level_words(aut: MealyAutomaton, k: int, cap=None):
     yield from itertools.product(aut.alphabet, repeat=k)
 
 
-def _reduced_words(letters, inverse, max_len, include_empty):
-    """Freely reduced words over `letters`, by length then construction order.
-
-    `inverse` maps each letter to its inverse letter.
-    """
-    if include_empty:
-        yield ()
-    level = [()]
-    for _ in range(max_len):
-        fresh = []
-        for word in level:
-            last_inverse = inverse[word[-1]] if word else None
-            for lt in letters:
-                if lt != last_inverse:
-                    fresh.append(word + (lt,))
-        yield from fresh
-        level = fresh
-
-
 def _reduced_sweep(letters, inverse, max_len, start, step):
     """(word, value) for the nonempty freely reduced words of length <= max_len.
 
-    Same words in the same order as _reduced_words.  A word's value is
-    step(value of the word without its last letter, last letter), and the
-    empty word's value is `start`, so each value is computed once, from its
-    prefix.  Only words shorter than max_len are kept for extension: the
-    longest level is yielded as it is made and never stored.
+    Words come by length, and within a length in the order of their
+    prefixes and then of `letters`; `inverse` maps each letter to its
+    inverse letter.  A word's value is step(value of the word without its
+    last letter, last letter), and the empty word's value is `start`, so
+    each value is computed once, from its prefix.  Only words shorter than
+    max_len are kept for extension: the longest level is yielded as it is
+    made and never stored.
     """
+    after = {lt: [c for c in letters if c != inverse[lt]] for lt in letters}
     level = [((), start)]
     for n in range(1, max_len + 1):
         keep = n < max_len
         fresh = []
         for word, value in level:
-            last_inverse = inverse[word[-1]] if word else None
-            for lt in letters:
-                if lt != last_inverse:
-                    child = word + (lt,)
-                    child_value = step(value, lt)
-                    yield child, child_value
-                    if keep:
-                        fresh.append((child, child_value))
+            for lt in after[word[-1]] if word else letters:
+                item = (word + (lt,), step(value, lt))
+                yield item
+                if keep:
+                    fresh.append(item)
         level = fresh
 
 
@@ -434,12 +416,6 @@ def _signed_codes(codes):
     """Letters c1, -c1, c2, -c2, ... of positive codes, and their inverse map."""
     letters = [c for code in codes for c in (code, -code)]
     return letters, {c: -c for c in letters}
-
-
-def _reduced_code_words(codes, max_len: int, include_empty: bool = True):
-    """Freely reduced code words over positive codes; letter order c1, -c1, c2, -c2, ..."""
-    letters, inverse = _signed_codes(codes)
-    return _reduced_words(letters, inverse, max_len, include_empty)
 
 
 def _check_sweep_cap(width, branching, max_len, per_word, cap, what):
@@ -450,8 +426,11 @@ def _check_sweep_cap(width, branching, max_len, per_word, cap, what):
     of work for each.  Freely reduced words over letters closed under
     inverses have branching width - 1; positive words have branching width.
     The count stops at the first length past the cap, so it never costs
-    more than the sweep it guards, whatever max_len is.
+    more than the sweep it guards, whatever max_len is.  A negative max_len
+    is refused, as no sweep has a meaning for it.
     """
+    if max_len < 0:
+        raise LevelTooLarge("%s length must be >= 0" % what)
     cap = DEFAULT_LEVEL_CAP if cap is None else cap
     total, count = 0, width
     for _ in range(max_len):
@@ -471,7 +450,9 @@ def iter_reduced_words(generators, max_len: int, include_empty: bool = True):
     """
     letters = [(g, s) for g in generators for s in (1, -1)]
     inverse = {(g, s): (g, -s) for g, s in letters}
-    return _reduced_words(letters, inverse, max_len, include_empty)
+    sweep = _reduced_sweep(letters, inverse, max_len, None, lambda value, lt: None)
+    words = map(operator.itemgetter(0), sweep)
+    return itertools.chain([()], words) if include_empty else words
 
 
 # -- dual path combinatorics ---------------------------------------------

@@ -62,34 +62,67 @@ class WpVerdict(namedtuple("WpVerdict", "decision witness certificate method")):
         return self.decision == "Identity"
 
 
-def _closure_scan(aut, word, stop_on_moved):
-    """Breadth-first walk of the residual graph of a code word.
+def _closure_scan(aut, roots, stop_on_moved):
+    """Breadth-first walk of the residual graph from each root code word in turn.
 
-    Returns (witness, visited): witness is a shortest moved input word, as
-    letter indices, when `stop_on_moved` and the action is nontrivial, else
-    None; visited lists the residual code words in discovery order
-    (complete when no witness was returned).
+    Each root's walk goes in letter order and skips the words already
+    listed.  Returns (witness, order, perms, succ): order lists the
+    residual code words in discovery order, perms[i] is the level-one
+    permutation of order[i] and succ[i] the indices in order of its
+    residuals, letter by letter.  With `stop_on_moved` the walk stops at
+    the first moved letter and witness is a shortest moved input word, as
+    letter indices, the first in shortlex order; it is defined for one
+    root only.  Otherwise, or when no letter moves, witness is None and
+    the walk is complete.
     """
     rows, letters = aut.core().rows, range(len(aut.alphabet))
-    seen = {word}
-    order = [word]
-    queue = deque([(word, ())])
-    while queue:
-        cur, prefix = queue.popleft()
-        for x in letters:
-            y, res = _step_word(rows, cur, x)
-            if stop_on_moved and y != x:
-                return prefix + (x,), order
-            if res not in seen:
-                seen.add(res)
-                order.append(res)
-                queue.append((res, prefix + (x,)))
-    return None, order
+    index, order, perms, succ = {}, [], [], []
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = len(order)
+        order.append(root)
+        # a later root's walk starts past the residuals already expanded;
+        # the first, the common case, reads order itself, without an islice
+        for cur in itertools.islice(order, len(succ), None) if succ else order:
+            perm, kids = [], []
+            for x in letters:
+                y, res = _step_word(rows, cur, x)
+                if y != x and stop_on_moved:
+                    if not succ:
+                        return (x,), order, perms, succ
+                    return _tree_path(succ, len(succ)) + (x,), order, perms, succ
+                j = index.get(res)
+                if j is None:
+                    j = index[res] = len(order)
+                    order.append(res)
+                perm.append(y)
+                kids.append(j)
+            perms.append(tuple(perm))
+            succ.append(kids)
+    return None, order, perms, succ
+
+
+def _tree_path(succ, i):
+    """Letters of the breadth-first tree path from the one root to residual i.
+
+    A residual's first incoming arc, in walk order, is the one that
+    discovered it, so one pass over succ gives every parent.
+    """
+    parent = {}
+    for p, kids in enumerate(succ):
+        for x, j in enumerate(kids):
+            parent.setdefault(j, (p, x))
+    path = []
+    while i:
+        i, x = parent[i]
+        path.append(x)
+    return tuple(reversed(path))
 
 
 def restriction_closure(aut: MealyAutomaton, w):
     """All residuals of w (including w), reduced, in breadth-first order."""
-    _, order = _closure_scan(aut, _encode_word(aut, w), False)
+    order = _closure_scan(aut, [_encode_word(aut, w)], False)[1]
     return tuple(_decode_word(aut, word) for word in order)
 
 
@@ -102,7 +135,7 @@ def _verdict(aut, word) -> WpVerdict:
     memo = _memo(aut, "wp")
     verdict = memo.get(word)
     if verdict is None:
-        witness, order = _closure_scan(aut, word, True)
+        witness, order, _, _ = _closure_scan(aut, [word], True)
         if witness is None:
             cert = tuple(_decode_word(aut, res) for res in order)
             verdict = WpVerdict("Identity", None, cert, "closure")
@@ -181,8 +214,9 @@ def wp_fragile(aut: MealyAutomaton, w, kmax: int, cap=None) -> WpVerdict:
     """Word problem via the level-wise route.
 
     Identity iff a membership level <= kmax exists.  A NonIdentity verdict
-    carries a moved word when some level <= kmax is not stabilized; if all
-    are, the verdict reports exhaustion without a witness.
+    carries the shortlex-first moved word, the closure witness, when some
+    level <= kmax is not stabilized; if all are, the verdict reports
+    exhaustion without a witness.
     """
     word = _fragile_word(aut, w, kmax, cap)
     k = _fragile_index(aut, word, kmax, cap)
@@ -192,36 +226,11 @@ def wp_fragile(aut: MealyAutomaton, w, kmax: int, cap=None) -> WpVerdict:
     for j in range(1, kmax + 1):
         check_level_cap(aut, j, cap)
         if not _level_walk(aut, word, j, False):
-            witness = _moved_word_at_level(aut, word, j)
-            return WpVerdict("NonIdentity", witness, None, "fragile")
+            # no word shorter than j moves, so the shortest moved word has length j
+            witness = _closure_scan(aut, [word], True)[0]
+            return WpVerdict("NonIdentity", tuple(aut.alphabet[x] for x in witness),
+                             None, "fragile")
     return WpVerdict("NonIdentity", None, None, "fragile")
-
-
-def _moved_word_at_level(aut, word, k):
-    """Lexicographically first word of length <= k moved by the code word.
-
-    Depth first in letter order over the residuals, with an explicit stack
-    of (residual, letters left), so k is not bounded by the recursion limit.
-    """
-    rows, alphabet = aut.core().rows, aut.alphabet
-    letters = range(len(alphabet))
-    prefix = []
-    stack = [(word, iter(letters))] if k else []
-    while stack:
-        ls, todo = stack[-1]
-        for x in todo:
-            y, res = _step_word(rows, ls, x)
-            if y != x:
-                return tuple(alphabet[i] for i in prefix) + (alphabet[x],)
-            if len(stack) < k:
-                prefix.append(x)
-                stack.append((res, iter(letters)))
-                break
-        else:
-            stack.pop()
-            if prefix:
-                prefix.pop()
-    return None
 
 
 def _require_stabilizes(aut, word, k, cap=None):
@@ -316,8 +325,6 @@ def shortest_representative(aut: MealyAutomaton, w, max_len: int, cap=None):
     """
     if not aut.invertible:
         raise NotInvertible("shortest representative needs an invertible automaton")
-    if max_len < 0:
-        raise LevelTooLarge("representative length must be >= 0")
     word = _encode_word(aut, w)
     max_len = min(max_len, len(word))
     width = 2 * len(_gen_codes(aut))
@@ -330,7 +337,7 @@ def shortest_representative(aut: MealyAutomaton, w, max_len: int, cap=None):
 def _element_key(aut, word):
     """Canonical key of the element a code word acts as: its minimal portrait.
 
-    One breadth-first pass over the residual closure, in letter order,
+    One closure walk (_closure_scan), breadth first in letter order,
     lists each residual's level-one permutation and the indices of its
     successors.  Moore partition refinement (mealy._refine_partition) merges
     equal residuals: the classes start as the permutation classes and are
@@ -348,22 +355,7 @@ def _element_key(aut, word):
     key = memo.get(word)
     if key is not None:
         return key
-    rows, letters = aut.core().rows, range(len(aut.alphabet))
-    index = {word: 0}
-    order = [word]
-    perms, succ = [], []
-    for cur in order:
-        perm, kids = [], []
-        for x in letters:
-            y, res = _step_word(rows, cur, x)
-            j = index.get(res)
-            if j is None:
-                j = index[res] = len(order)
-                order.append(res)
-            perm.append(y)
-            kids.append(j)
-        perms.append(tuple(perm))
-        succ.append(kids)
+    _, _, perms, succ = _closure_scan(aut, [word], False)
     block = _refine_partition(perms, succ)
     key, numbered = [], 0
     for i, b in enumerate(block):
@@ -437,11 +429,18 @@ def _first_words(aut, keys, max_len):
 def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     """Smallest restriction- and inverse-closed set the pair products fall back into.
 
-    Seeded with the states and their inverses closed under residuals; then,
-    for every pair product, residual chains are followed until they re-enter
-    the set, and the recurring elements (those on or past a residual cycle)
-    are adjoined.  Caps turn non-stabilization into an error instead of a
-    hang.
+    Seeded with the identity, the states and their inverses, closed under
+    residuals; then, for every pair product, residual chains are followed
+    until they re-enter the set, and the recurring elements (those on or
+    past a residual cycle) are adjoined.  Caps turn non-stabilization into
+    an error instead of a hang.
+
+    A residual of a one-letter word is a one-letter word or empty, so the
+    seeds' walk (one _closure_scan from all of them, each root's walk after
+    the last) is closed under residuals and inverse words.  One partition
+    refinement over it merges equal words; its blocks, numbered in order of
+    first occurrence, are the first element ids, and the first word of each
+    block is its representative.
 
     Each round numbers the set's elements 0..n-1 and keeps, for each, its
     level-one permutation, the ids of its sections and the id of its
@@ -473,26 +472,19 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
             raise NotContractingWithinCaps(
                 "nucleus exceeded size cap %d" % size_cap)
 
-    # seed: identity, states, inverses, closed under residuals
-    seed_ids = {}                        # element key -> id
+    # seed: identity, states and inverses
     seeds = [(c,) for c in _gen_codes(aut)]
     seeds += [(-c,) for c, in seeds]
-    for ls in itertools.chain([()], *(_closure_scan(aut, s, False)[1] for s in seeds)):
-        key = _element_key(aut, ls)
-        if key not in seed_ids:
-            seed_ids[key] = len(reps)
-            grow(ls)
-
-    def seed_id(ls):
-        return _within(seed_ids.get(_element_key(aut, ls)))
-
-    # level-one permutation, section ids and inverse id of each element
-    perm, sec, inv = [], [], []
-    for ls in reps:
-        steps = [_step_word(rows, ls, x) for x in letters]
-        perm.append(tuple(y for y, _ in steps))
-        sec.append(tuple(seed_id(res) for _, res in steps))
-        inv.append(seed_id(_inverse(ls)))
+    _, closure, perms, succ = _closure_scan(aut, [()] + seeds, False)
+    block = _refine_partition(perms, succ)
+    index = {ls: i for i, ls in enumerate(closure)}
+    perm, sec, inv = [], [], []          # level-one permutation, section ids, inverse id
+    for i, b in enumerate(block):
+        if b == len(reps):
+            grow(closure[i])
+            perm.append(perms[i])
+            sec.append(tuple(block[j] for j in succ[i]))
+            inv.append(block[index[_inverse(closure[i])]])
 
     old = 0                              # elements whose pairs were all examined
     while old < len(reps):

@@ -90,6 +90,11 @@ def test_closure_agrees_with_brute_force(case):
             assert _reference_apply(aut, word, u) == u
     if not verdict.identity:
         assert _reference_apply(aut, word, verdict.witness) != verdict.witness
+        # and the first moved word of its length, in letter order
+        for u in itertools.product(alphabet, repeat=len(verdict.witness)):
+            if u == verdict.witness:
+                break
+            assert _reference_apply(aut, word, u) == u
 
 
 @SETTINGS

@@ -115,6 +115,8 @@ CASES = [
     ("check-acyclic-level-cap",
      ["check-acyclic", "--builtin", "triangle_acyclic", "--max-len", "10000"], 1),
     ("nucleus-cycle6", ["nucleus", "--builtin", "cycle_6"], 0),
+    ("check-reducible-negative-length",
+     ["check-reducible", "--builtin", "star3", "--max-len", "-1", "--max-depth", "8"], 1),
 ]
 
 

@@ -1,13 +1,15 @@
 """The prefix-carrying reduced-word sweep and the scans built on it.
 
-`action._reduced_sweep` must list the words of `_reduced_code_words` in the
-same order, give each word the value folded over the whole word, and keep
-no value of its longest level.  The loop-shortening scan carries one end
-vertex per start vertex through it and must equal the per-word walk it
-replaced, kept below as the reference, and the positive-word scan streams
-the words that a stored list of each length gave.  The reducibility, loop,
-positive-word and shortest-representative sweeps refuse, before they start,
-a scan whose word count passes the level cap.
+`action._reduced_sweep` must list the words of the level-at-a-time
+enumerator kept below as the reference, in the same order, give each word
+the value folded over the whole word, and keep no value of its longest
+level; `iter_reduced_words` is the sweep with the empty word in front.
+The loop-shortening scan carries one end vertex per start vertex through
+it and must equal the per-word walk it replaced, kept below as the
+reference, and the positive-word scan streams the words that a stored list
+of each length gave.  The reducibility, loop, positive-word and
+shortest-representative sweeps refuse, before they start, a negative
+length and a scan whose word count passes the level cap.
 """
 
 import functools
@@ -26,12 +28,7 @@ from selfsim import (
     make_automaton,
     shortest_representative,
 )
-from selfsim.action import (
-    _reduced_code_words,
-    _reduced_sweep,
-    _signed_codes,
-    iter_reduced_words,
-)
+from selfsim.action import _reduced_sweep, _signed_codes, iter_reduced_words
 from selfsim.errors import BadGraph, LevelTooLarge
 from selfsim.schreier import (
     FiniteAction,
@@ -48,22 +45,33 @@ def _fold(value, letter):
     return value + (letter,)
 
 
+def _reference_words(letters, inverse, max_len):
+    """Nonempty freely reduced words, one whole length at a time."""
+    level = [()]
+    for _ in range(max_len):
+        level = [word + (lt,) for word in level for lt in letters
+                 if not word or lt != inverse[word[-1]]]
+        yield from level
+
+
 @pytest.mark.parametrize("codes", [[1], [1, 2], [1, 2, 3], [2, 5]])
 @pytest.mark.parametrize("max_len", [0, 1, 2, 4])
 def test_sweep_lists_the_reduced_words_with_their_folds(codes, max_len):
     swept = list(_reduced_sweep(*_signed_codes(codes), max_len, ("start",), _fold))
-    words = list(_reduced_code_words(codes, max_len, include_empty=False))
+    words = list(_reference_words(*_signed_codes(codes), max_len))
     assert [word for word, _ in swept] == words
     assert all(value == functools.reduce(_fold, word, ("start",)) for word, value in swept)
 
 
-def test_sweep_over_letters_follows_iter_reduced_words():
+def test_sweep_over_letters_follows_the_reference():
     letters = [(g, s) for g in "ab" for s in (1, -1)]
     inverse = {(g, s): (g, -s) for g, s in letters}
+    words = list(_reference_words(letters, inverse, 3))
     swept = _reduced_sweep(letters, inverse, 3, 0, lambda n, letter: n + letter[1])
-    expected = iter_reduced_words("ab", 3, include_empty=False)
     assert [(word, value) for word, value in swept] == [
-        (word, sum(s for _, s in word)) for word in expected]
+        (word, sum(s for _, s in word)) for word in words]
+    assert list(iter_reduced_words("ab", 3)) == [()] + words
+    assert list(iter_reduced_words("ab", 3, include_empty=False)) == words
 
 
 class _Value:
@@ -92,8 +100,9 @@ def _reference_loops(aut, max_len):
     ed = enriched_dual(aut)
     gens = [s for s in aut.states if s != aut.sink]
     erasable = {aut.sink, inverse_symbol(aut.sink)}
+    letters = [(g, s) for g in gens for s in (1, -1)]
     violations, checked = [], 0
-    for word in iter_reduced_words(gens, max_len, include_empty=False):
+    for word in _reference_words(letters, {(g, s): (g, -s) for g, s in letters}, max_len):
         tokens = [g if s > 0 else inverse_symbol(g) for g, s in word]
         for q in ed.states:
             checked += 1
@@ -180,6 +189,20 @@ def test_representative_search_cap_counts_reduced_words(star, fig5):
         shortest_representative(star, "a", -3)
     with pytest.raises(LevelTooLarge):      # 10 * 9**(n - 1) words of length n
         shortest_representative(fig5, "e1 e2 e3 e4 e5 e1 e2 e3 e4 e5", 10)
+
+
+@pytest.mark.parametrize("what,call", [
+    ("reducibility scan", lambda: check_reducible(builtin_automaton("star3"), -1, 8)),
+    ("positive sweep",
+     lambda: check_acyclic_no_positive_identity(builtin_automaton("triangle_acyclic"), -3)),
+    ("loop sweep", lambda: verify_loop_shortening(builtin_automaton("star3"), -2)),
+    ("representative search",
+     lambda: shortest_representative(builtin_automaton("star3"), "a", -1)),
+], ids=["reducible", "acyclic", "loops", "representative"])
+def test_sweeps_refuse_a_negative_length(what, call):
+    # a vacuous Pass over no words would read as a checked claim
+    with pytest.raises(LevelTooLarge, match="^%s length must be >= 0$" % what):
+        call()
 
 
 def test_positive_sweep_cap_counts_positive_words(triangle_acyclic):

@@ -1,9 +1,12 @@
 """The shared engine walks checked against brute force.
 
 stabilizes_level and fragile_member run one iterative level walk; the
-positive-word oracle steps through the group-word step function; acyclicity
-and nucleus persistence use the one SCC routine; the spanning tree is read
-off the coset graph's arcs.
+residual-closure walker must list what the prefix-carrying breadth-first
+scan it replaced lists, kept below as the reference, and the level method's
+witness is the shortlex-first moved word; the positive-word oracle steps
+through the group-word step function; acyclicity and nucleus persistence
+use the one SCC routine; the spanning tree is read off the coset graph's
+arcs.
 """
 
 import itertools
@@ -16,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from selfsim import builtin_automaton
 from selfsim.action import (
     _encode_word,
+    _step_word,
     apply_word,
     iter_level_words,
     restrict_word,
@@ -33,7 +37,7 @@ from selfsim.tracemonoid import (
     check_acyclic_no_positive_identity,
     semigroup_eq_via_action,
 )
-from selfsim.wordproblem import _moved_word_at_level, fragile_member, wp_fragile
+from selfsim.wordproblem import _closure_scan, fragile_member, wp_fragile
 
 # fixture name -> deepest level enumerated by brute force
 LEVELS = {"star3": 3, "fig5_tree": 2, "basilica": 5, "adding_machine": 5}
@@ -97,21 +101,23 @@ def _random_machine(rng):
     return make_automaton(gens + ["e"], alphabet, records, sink="e"), gens
 
 
-def test_moved_word_is_first_in_prefix_order():
-    # brute force: words of length 1..k as letter-index tuples, sorted, so a
-    # prefix comes before its extensions; the first moved one is the answer
+def _random_word(rng, gens, max_len):
+    return [(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(0, max_len))]
+
+
+def test_moved_word_is_first_in_shortlex_order():
+    # brute force: words of length 1..k as letter-index tuples in shortlex
+    # order; the first moved one is the answer, None when none moves
     rng = random.Random(11)
     for _ in range(300):
         aut, gens = _random_machine(rng)
-        word = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(0, 6))]
+        word = _random_word(rng, gens, 6)
         n = len(aut.alphabet)
-        for k in range(4):
-            words = sorted(u for j in range(1, k + 1)
-                           for u in itertools.product(range(n), repeat=j))
-            moved = [tuple(aut.alphabet[i] for i in u) for u in words]
-            moved = [u for u in moved if apply_word(aut, word, u) != u]
-            expected = moved[0] if moved else None
-            assert _moved_word_at_level(aut, _encode_word(aut, word), k) == expected
+        for k in range(1, 4):
+            words = (u for j in range(1, k + 1) for u in itertools.product(range(n), repeat=j))
+            moved = (tuple(aut.alphabet[i] for i in u) for u in words)
+            expected = next((u for u in moved if apply_word(aut, word, u) != u), None)
+            assert wp_fragile(aut, word, k).witness == expected
 
 
 def test_moved_word_search_is_iterative():
@@ -127,6 +133,80 @@ def test_moved_word_search_is_iterative():
     verdict = wp_fragile(aut, "d1", n, cap=2 ** (n + 1))
     assert verdict.decision == "NonIdentity"
     assert verdict.witness == ("0",) * n
+
+
+# -- the residual-closure walker against the scan it replaced ---------------------------
+
+def _reference_scan(aut, word, stop_on_moved):
+    """Breadth-first residual scan carrying each residual's input prefix.
+
+    Returns (witness, order) as the one-root walker did before it listed
+    permutations and successors.
+    """
+    rows, letters = aut.core().rows, range(len(aut.alphabet))
+    seen = {word}
+    order = [word]
+    queue = deque([(word, ())])
+    while queue:
+        cur, prefix = queue.popleft()
+        for x in letters:
+            y, res = _step_word(rows, cur, x)
+            if stop_on_moved and y != x:
+                return prefix + (x,), order
+            if res not in seen:
+                seen.add(res)
+                order.append(res)
+                queue.append((res, prefix + (x,)))
+    return None, order
+
+
+def _walk_cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        aut, gens = _random_machine(rng)
+        word = _random_word(rng, gens, 8)
+        if rng.random() < 0.3:
+            word = word + [(g, -s) for g, s in reversed(word)][:rng.randint(0, len(word))]
+        yield aut, gens, _encode_word(aut, word)
+
+
+def test_walker_lists_the_reference_scan():
+    # same order and witness, stopped or not; perms and succ are the steps
+    # of every residual the walk expanded
+    witness_lengths = set()
+    for aut, _, word in _walk_cases(2026, 400):
+        for stop in (False, True):
+            witness, order, perms, succ = _closure_scan(aut, [word], stop)
+            assert (witness, order) == _reference_scan(aut, word, stop)
+            assert witness is not None or len(succ) == len(order)
+            _assert_steps(aut, order, perms, succ)
+            if witness is not None:
+                witness_lengths.add(len(witness))
+    assert {1, 2, 3} <= witness_lengths
+
+
+def _assert_steps(aut, order, perms, succ):
+    rows, letters = aut.core().rows, range(len(aut.alphabet))
+    assert len(perms) == len(succ) <= len(order)
+    for cur, perm, kids in zip(order, perms, succ):
+        steps = [_step_word(rows, cur, x) for x in letters]
+        assert perm == tuple(y for y, _ in steps)
+        assert [order[j] for j in kids] == [res for _, res in steps]
+
+
+def test_multi_root_walk_concatenates_the_closures():
+    # later roots often lie in, or reach into, the closures listed before them
+    rng = random.Random(77)
+    for aut, gens, word in _walk_cases(31, 150):
+        roots = [word] + [_encode_word(aut, _random_word(rng, gens, 4)) for _ in range(3)]
+        roots += [(c,) for c in range(1, len(gens) + 1)] + [roots[rng.randrange(len(roots))]]
+        expected = []
+        for root in roots:
+            expected += [ls for ls in _reference_scan(aut, root, False)[1] if ls not in expected]
+        _, order, perms, succ = _closure_scan(aut, roots, False)
+        assert order == expected
+        assert len(succ) == len(order)
+        _assert_steps(aut, order, perms, succ)
 
 
 def test_positive_oracle_against_the_action(star, fig5):
