@@ -261,7 +261,7 @@ def check_acyclic_no_positive_identity(aut: MealyAutomaton, max_len: int,
         # each, with no memo entry: the words are streamed, never stored
         for w, word in zip(product(gens, repeat=n), product(codes, repeat=n)):
             checked += 1
-            if _closure_scan(aut, [word], True)[0] is None:
+            if _closure_scan(aut, [word], True, keep_perms=False)[0] is None:
                 violations.append(w)
     status = "Pass" if not violations else "Violations"
     return PositiveIdentityReport(status, tuple(violations), checked)

@@ -29,6 +29,7 @@ from .action import (
     _signed_codes,
     _step_word,
     check_level_cap,
+    parse_word,
 )
 from .errors import (
     LevelTooLarge,
@@ -62,17 +63,18 @@ class WpVerdict(namedtuple("WpVerdict", "decision witness certificate method")):
         return self.decision == "Identity"
 
 
-def _closure_scan(aut, roots, stop_on_moved):
+def _closure_scan(aut, roots, stop_on_moved, keep_perms=True):
     """Breadth-first walk of the residual graph from each root code word in turn.
 
     Each root's walk goes in letter order and skips the words already
     listed.  Returns (witness, order, perms, succ): order lists the
     residual code words in discovery order, perms[i] is the level-one
     permutation of order[i] and succ[i] the indices in order of its
-    residuals, letter by letter.  With `stop_on_moved` the walk stops at
-    the first moved letter and witness is a shortest moved input word, as
-    letter indices, the first in shortlex order; it is defined for one
-    root only.  Otherwise, or when no letter moves, witness is None and
+    residuals, letter by letter.  Without `keep_perms` perms stays empty,
+    for the callers that do not read it.  With `stop_on_moved` the walk
+    stops at the first moved letter and witness is a shortest moved input
+    word, as letter indices, the first in shortlex order; it is defined for
+    one root only.  Otherwise, or when no letter moves, witness is None and
     the walk is complete.
     """
     rows, letters = aut.core().rows, range(len(aut.alphabet))
@@ -98,7 +100,8 @@ def _closure_scan(aut, roots, stop_on_moved):
                     order.append(res)
                 perm.append(y)
                 kids.append(j)
-            perms.append(tuple(perm))
+            if keep_perms:
+                perms.append(tuple(perm))
             succ.append(kids)
     return None, order, perms, succ
 
@@ -122,28 +125,53 @@ def _tree_path(succ, i):
 
 def restriction_closure(aut: MealyAutomaton, w):
     """All residuals of w (including w), reduced, in breadth-first order."""
-    order = _closure_scan(aut, [_encode_word(aut, w)], False)[1]
+    order = _closure_scan(aut, [_encode_word(aut, w)], False, keep_perms=False)[1]
     return tuple(_decode_word(aut, word) for word in order)
 
 
 def _verdict(aut, word) -> WpVerdict:
     """Closure verdict of a code word, memoized on the code word.
 
-    A scan that finds no moved letter has listed the whole closure, which
-    is the Identity certificate.
+    The word's own images come first: the walk steps the root's letters
+    first, in letter order, so the first letter the word moves is the
+    walk's witness, read off without a walk.  Only a word that fixes every
+    letter is walked.  A walk that finds no moved letter has listed the
+    whole closure, which is the Identity certificate.
     """
     memo = _memo(aut, "wp")
     verdict = memo.get(word)
     if verdict is None:
-        witness, order, _, _ = _closure_scan(aut, [word], True)
-        if witness is None:
-            cert = tuple(_decode_word(aut, res) for res in order)
-            verdict = WpVerdict("Identity", None, cert, "closure")
+        rows = aut.core().rows
+        for x in range(len(aut.alphabet)):
+            y = x
+            for c in word:
+                y = rows[c][y][0]
+            if y != x:
+                verdict = _moved_verdict(aut, (x,))
+                break
         else:
-            alphabet = aut.alphabet
-            verdict = WpVerdict("NonIdentity", tuple(alphabet[x] for x in witness),
-                                None, "closure")
+            witness, order, _, _ = _closure_scan(aut, [word], True, keep_perms=False)
+            if witness is None:
+                cert = tuple(_decode_word(aut, res) for res in order)
+                verdict = WpVerdict("Identity", None, cert, "closure")
+            else:
+                verdict = _moved_verdict(aut, witness)
         _remember(memo, word, verdict, MEMO_LIMIT)
+    return verdict
+
+
+def _moved_verdict(aut, witness):
+    """The NonIdentity closure verdict with this witness (letter indices).
+
+    One record per witness, shared by every word that has it, in the
+    machine's `moved` memo.
+    """
+    memo = _memo(aut, "moved")
+    verdict = memo.get(witness)
+    if verdict is None:
+        verdict = WpVerdict("NonIdentity", tuple(map(aut.alphabet.__getitem__, witness)),
+                            None, "closure")
+        _remember(memo, witness, verdict, MEMO_LIMIT)
     return verdict
 
 
@@ -227,7 +255,7 @@ def wp_fragile(aut: MealyAutomaton, w, kmax: int, cap=None) -> WpVerdict:
         check_level_cap(aut, j, cap)
         if not _level_walk(aut, word, j, False):
             # no word shorter than j moves, so the shortest moved word has length j
-            witness = _closure_scan(aut, [word], True)[0]
+            witness = _closure_scan(aut, [word], True, keep_perms=False)[0]
             return WpVerdict("NonIdentity", tuple(aut.alphabet[x] for x in witness),
                              None, "fragile")
     return WpVerdict("NonIdentity", None, None, "fragile")
@@ -268,7 +296,13 @@ def is_identity_in_Gk(aut: MealyAutomaton, w, k: int, cap=None) -> bool:
 # -- abelianization ----------------------------------------------------------
 
 def exponent_sums(w, generators):
-    """Signed occurrence counts per generator, in the given order."""
+    """Signed occurrence counts per generator, in the given order.
+
+    Takes word text (parsed by parse_word), a GroupWord or a sequence of
+    (generator, +-1) letters.
+    """
+    if isinstance(w, str):
+        w = parse_word(w)
     letters = w.letters if isinstance(w, GroupWord) else tuple(w)
     sums = {g: 0 for g in generators}
     for g, s in letters:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -30,7 +31,7 @@ from selfsim.errors import (
     NoSink,
     NotInvertible,
 )
-from selfsim.mealy import sink_avoiding_path_count
+from selfsim.mealy import sink_avoiding_path_count, with_sink
 
 STAR_RECORDS = [
     ("a", "0", "a", "1"), ("a", "1", "id", "0"), ("a", "2", "id", "2"), ("a", "3", "id", "3"),
@@ -167,7 +168,6 @@ def test_dual_of_identity_automaton():
 
 def test_dual_is_involutive(star, adding, basilica):
     # the dual declares no sink, so compare after redeclaring it
-    from selfsim.mealy import with_sink
     for aut in (star, adding, basilica):
         assert with_sink(dual(dual(aut)), aut.sink) == aut
 
@@ -343,3 +343,70 @@ def test_power_three_matches_word_action(star):
             expected = restrict_word(star, word, (x,))
             # the unreduced residual tuple reduces to the word residual
             assert parse_word(" ".join(residual), star) == expected
+
+
+# -- algebraic laws on seeded random machines -------------------------------------------
+
+def _random_machine(rng):
+    """2-3 letters, 1-5 states and a copy state e; sometimes not invertible, sometimes no sink."""
+    alphabet = [str(i) for i in range(rng.randint(2, 3))]
+    states = ["s%d" % i for i in range(rng.randint(1, 5))] + ["e"]
+    invertible = rng.random() < 0.7
+    records = [("e", x, "e", x) for x in alphabet]
+    for s in states[:-1]:
+        outputs = (rng.sample(alphabet, len(alphabet)) if invertible
+                   else [rng.choice(alphabet) for _ in alphabet])
+        records += [(s, x, rng.choice(states), y) for x, y in zip(alphabet, outputs)]
+    sink = "e" if rng.random() < 0.7 else None
+    return make_automaton(states, alphabet, records, sink=sink)
+
+
+def _random_machines(seed, count=300):
+    rng = random.Random(seed)
+    return [_random_machine(rng) for _ in range(count)]
+
+
+def _output(aut, state, u):
+    """Output word of `state` on the input word u, read from the transition table."""
+    image = []
+    for x in u:
+        image.append(aut.out(state, x))
+        state = aut.next(state, x)
+    return tuple(image)
+
+
+def test_dual_of_dual_is_the_machine():
+    for aut in _random_machines(101):
+        assert with_sink(dual(dual(aut)), aut.sink) == aut
+
+
+def test_inverse_of_inverse_is_the_machine():
+    inverted = 0
+    for aut in _random_machines(102):
+        if not aut.invertible:
+            with pytest.raises(NotInvertible):
+                inverse(aut)
+            continue
+        assert inverse(inverse(aut)) == aut
+        inverted += 1
+    assert 0 < inverted < 300
+
+
+def test_load_of_dump_is_the_machine():
+    for aut in _random_machines(103):
+        for machine in (aut, dual(aut)):
+            assert load_automaton(dump_automaton(machine)) == machine
+
+
+def test_bisimulation_quotient_acts_like_the_machine():
+    merged = 0
+    for aut in _random_machines(104):
+        quotient = bisimulation_quotient(aut)
+        merged += len(quotient.states) < len(aut.states)
+        words = [u for k in range(4) for u in itertools.product(aut.alphabet, repeat=k)]
+        for cls in bisimulation_classes(aut):
+            assert cls[0] in quotient.states
+            for s in cls:
+                for u in words:
+                    assert _output(aut, s, u) == _output(quotient, cls[0], u)
+    assert merged > 0

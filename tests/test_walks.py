@@ -2,8 +2,9 @@
 
 stabilizes_level and fragile_member run one iterative level walk; the
 residual-closure walker must list what the prefix-carrying breadth-first
-scan it replaced lists, kept below as the reference, and the level method's
-witness is the shortlex-first moved word; the positive-word oracle steps
+scan it replaced lists, kept below as the reference, and the closure
+decider must answer as that scan does; the level method's witness is the
+shortlex-first moved word; the positive-word oracle steps
 through the group-word step function; acyclicity and nucleus persistence
 use the one SCC routine; the spanning tree is read off the coset graph's
 arcs.
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from selfsim import builtin_automaton
 from selfsim.action import (
+    _decode_word,
     _encode_word,
     _step_word,
     apply_word,
@@ -25,7 +27,7 @@ from selfsim.action import (
     restrict_word,
     stabilizes_level,
 )
-from selfsim.errors import BadGraph
+from selfsim.errors import BadGraph, NotInvertible
 from selfsim.mealy import make_automaton
 from selfsim.schreier import (
     FiniteAction,
@@ -37,7 +39,13 @@ from selfsim.tracemonoid import (
     check_acyclic_no_positive_identity,
     semigroup_eq_via_action,
 )
-from selfsim.wordproblem import _closure_scan, fragile_member, wp_fragile
+from selfsim.wordproblem import (
+    _closure_scan,
+    elements_equal,
+    fragile_member,
+    is_identity,
+    wp_fragile,
+)
 
 # fixture name -> deepest level enumerated by brute force
 LEVELS = {"star3": 3, "fig5_tree": 2, "basilica": 5, "adding_machine": 5}
@@ -120,16 +128,23 @@ def test_moved_word_is_first_in_shortlex_order():
             assert wp_fragile(aut, word, k).witness == expected
 
 
-def test_moved_word_search_is_iterative():
-    # d_i = (d_{i+1}, id) and the last state swaps the letters: d1 fixes every
-    # level below n and moves 0^n, deeper than the default recursion limit
-    n = 1100
+def _chain_machine(n):
+    """d_i = (d_{i+1}, id) and the last state d_n swaps the letters.
+
+    d_i fixes every level below n - i + 1 and moves 0^(n-i+1).
+    """
     states = ["d%d" % i for i in range(1, n + 1)] + ["id"]
     records = [("id", "0", "id", "0"), ("id", "1", "id", "1"),
                (states[n - 1], "0", "id", "1"), (states[n - 1], "1", "id", "0")]
     for i in range(n - 1):
         records += [(states[i], "0", states[i + 1], "0"), (states[i], "1", "id", "1")]
-    aut = make_automaton(states, ["0", "1"], records, sink="id")
+    return make_automaton(states, ["0", "1"], records, sink="id")
+
+
+def test_moved_word_search_is_iterative():
+    # d1 moves 0^n, deeper than the default recursion limit
+    n = 1100
+    aut = _chain_machine(n)
     verdict = wp_fragile(aut, "d1", n, cap=2 ** (n + 1))
     assert verdict.decision == "NonIdentity"
     assert verdict.witness == ("0",) * n
@@ -207,6 +222,82 @@ def test_multi_root_walk_concatenates_the_closures():
         assert order == expected
         assert len(succ) == len(order)
         _assert_steps(aut, order, perms, succ)
+
+
+# -- the closure decider against the reference scan ---------------------------------------
+
+def test_decider_answers_as_the_reference_scan():
+    # a word that moves a root letter is answered from its images alone, any
+    # other is walked; both must give the reference scan's answer
+    kinds = set()
+    for aut, _, word in _walk_cases(4242, 600):
+        witness, order = _reference_scan(aut, word, True)
+        if witness is None:
+            expected = ("Identity", None, tuple(_decode_word(aut, res) for res in order))
+            kinds.add("identity")
+        else:
+            expected = ("NonIdentity", tuple(aut.alphabet[x] for x in witness), None)
+            if len(witness) > 1:
+                kinds.add("moved deeper")
+            else:
+                kinds.add("moved at the first letter" if witness == (0,)
+                          else "moved at a later root letter")
+        verdict = is_identity(aut, _decode_word(aut, word))
+        assert (verdict.decision, verdict.witness, verdict.certificate, verdict.method) \
+            == expected + ("closure",)
+    assert kinds == {"identity", "moved deeper", "moved at the first letter",
+                     "moved at a later root letter"}
+
+
+def test_non_identity_verdicts_are_shared_per_witness():
+    rng = random.Random(5)
+    aut, gens = _random_machine(rng)
+    by_witness = {}
+    for _ in range(300):
+        verdict = is_identity(aut, _random_word(rng, gens, 6))
+        if not verdict.identity:
+            assert by_witness.setdefault(verdict.witness, verdict) is verdict
+    assert len(by_witness) > 1
+
+
+def _half_invertible_machine(rng):
+    """A random machine on which the state q does not act by a permutation."""
+    aut, gens = _random_machine(rng)
+    alphabet = list(aut.alphabet)
+    records = [(s, x, t, y) for s, x, t, y in aut.transitions()]
+    records += [("q", x, rng.choice(gens + ["e"]), rng.choice(alphabet[1:])) for x in alphabet]
+    return make_automaton(list(aut.states) + ["q"], alphabet, records, sink="e"), gens
+
+
+def test_inverse_of_a_non_permutation_state_still_raises():
+    rng = random.Random(9)
+    for _ in range(100):
+        aut, gens = _half_invertible_machine(rng)
+        head, tail = _random_word(rng, gens, 4), _random_word(rng, gens, 4)
+        word = head + [("q", -1)] + tail
+        with pytest.raises(NotInvertible):
+            _reference_scan(aut, _encode_word(aut, word), True)
+        with pytest.raises(NotInvertible, match="state q does not act by a permutation"):
+            is_identity(aut, word)
+        with pytest.raises(NotInvertible, match="state q does not act by a permutation"):
+            elements_equal(aut, head, [("q", 1)])
+
+
+def test_both_closure_memos_share_one_bound(monkeypatch):
+    # the chain machine's words d_i move 0^(n-i+1), so 16 distinct witnesses
+    # and, with the squares d_i d_i, 16 identities
+    import selfsim.wordproblem
+    words = ["d%d" % i for i in range(1, 17)]
+    words += ["d%d d%d" % (i, i) for i in range(1, 17)]
+    words += ["d%d d%d^-1" % (i, i + 1) for i in range(1, 16)]
+    expected = [is_identity(_chain_machine(16), w) for w in words]
+    assert len({v.witness for v in expected if not v.identity}) == 16
+    monkeypatch.setattr(selfsim.wordproblem, "MEMO_LIMIT", 10)
+    aut = _chain_machine(16)
+    for _ in range(2):
+        assert [is_identity(aut, w) for w in words] == expected
+        assert len(aut._cache["wp"]) == 10
+        assert len(aut._cache["moved"]) == 10
 
 
 def test_positive_oracle_against_the_action(star, fig5):

@@ -311,6 +311,13 @@ def test_exponent_sums(star):
     assert exponent_sums(GroupWord(), gens) == (0, 0)
 
 
+def test_exponent_sums_of_word_text(star):
+    gens = ("a", "b", "c")
+    for text in ("a b a^-1 b^-1", "a a b^-1 c", "c^-1 id a c", "", "b^-1 b^-1 a"):
+        assert exponent_sums(text, gens) == exponent_sums(parse_word(text, star), gens)
+    assert exponent_sums("a a b^-1 c", gens) == (2, -1, 1)
+
+
 # -- reducibility -----------------------------------------------------------------------------------
 
 def test_check_reducible_fixtures(star, basilica, demo):
