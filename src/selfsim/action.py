@@ -412,6 +412,94 @@ def _reduced_sweep(letters, inverse, max_len, start, step):
         level = fresh
 
 
+def _hit_sweep(letters, inverse, max_len, start, step, hit):
+    """The items of _reduced_sweep(letters, inverse, max_len, start, step) whose value is a hit.
+
+    What follows a word in the sweep depends only on its state, the pair
+    (value, last letter), and there are far fewer states than words.  One
+    breadth-first walk numbers the states that words of length <= max_len
+    reach, computing each state's step once per letter that may follow it,
+    and asks `hit` once per state.  One backward breadth-first walk from
+    the hit states gives each state the fewest letters that still reach a
+    hit.  The words are then listed level by level, as _reduced_sweep lists
+    them, and a prefix is kept only while a hit lies within the letters
+    left; when nothing hits, no word is listed.  Values must be hashable.
+    States are numbered in the order they are found and kept in lists, so
+    the listing does not depend on hashing.
+    """
+    after = {lt: [c for c in letters if c != inverse[lt]] for lt in letters}
+    after[None] = letters
+    number = {(start, None): 0}
+    values, lasts, hits = [start], [None], [False]
+    succ = []                       # succ[i]: the states after state i, in the order of after[...]
+    frontier = [0]
+    for _ in range(max_len):
+        fresh = []
+        for i in frontier:
+            value, kids = values[i], []
+            for lt in after[lasts[i]]:
+                key = (step(value, lt), lt)
+                j = number.get(key)
+                if j is None:
+                    j = number[key] = len(values)
+                    values.append(key[0])
+                    lasts.append(lt)
+                    hits.append(hit(key[0]))
+                    fresh.append(j)
+                kids.append(j)
+            succ.append(kids)
+        frontier = fresh
+    # letters from each state to its nearest hit, itself included
+    far = max_len + 1
+    dist = [0 if h else far for h in hits]
+    preds = [[] for _ in values]
+    for i, kids in enumerate(succ):
+        for j in kids:
+            preds[j].append(i)
+    queue = [j for j, h in enumerate(hits) if h]
+    for j in queue:
+        d = dist[j] + 1
+        for i in preds[j]:
+            if dist[i] == far:
+                dist[i] = d
+                queue.append(i)
+    # letters from each state with successors to the nearest hit past it
+    ahead = [1 + min(map(dist.__getitem__, kids), default=far) for kids in succ]
+    level = [((), 0)] if max_len and ahead[0] <= max_len else []
+    for n in range(1, max_len + 1):
+        left = max_len - n
+        fresh = []
+        for word, i in level:
+            for lt, j in zip(after[lasts[i]], succ[i]):
+                if hits[j]:
+                    yield word + (lt,), values[j]
+                if left and ahead[j] <= left:
+                    fresh.append((word + (lt,), j))
+        level = fresh
+
+
+def _sweep_count(width, max_len):
+    """Number of words _reduced_sweep lists over `width` letters closed under inverses."""
+    branching = width - 1
+    if branching == 1:
+        return width * max_len
+    return width * (branching ** max_len - 1) // (branching - 1)
+
+
+def _sweep_rank(letters, inverse, word):
+    """1-based position of the nonempty reduced word in _reduced_sweep's listing."""
+    width, index, options = len(letters), 0, letters
+    for lt in word:
+        index = index * (width - 1) + options.index(lt)
+        options = [c for c in letters if c != inverse[lt]]
+    return _sweep_count(width, len(word) - 1) + index + 1
+
+
+def _gen_codes(aut):
+    """Positive codes of the non-sink states, in state order."""
+    return [i + 1 for i, s in enumerate(aut.states) if s != aut.sink]
+
+
 def _signed_codes(codes):
     """Letters c1, -c1, c2, -c2, ... of positive codes, and their inverse map."""
     letters = [c for code in codes for c in (code, -code)]
@@ -446,8 +534,11 @@ def _check_sweep_cap(width, branching, max_len, per_word, cap, what):
 def iter_reduced_words(generators, max_len: int, include_empty: bool = True):
     """Freely reduced words over the generators, by length then construction order.
 
-    The letter order interleaves signs: g1, g1^-1, g2, g2^-1, ...
+    The letter order interleaves signs: g1, g1^-1, g2, g2^-1, ...  A
+    negative max_len is refused, as for the sweeps.
     """
+    if max_len < 0:
+        raise LevelTooLarge("reduced word length must be >= 0")
     letters = [(g, s) for g in generators for s in (1, -1)]
     inverse = {(g, s): (g, -s) for g, s in letters}
     sweep = _reduced_sweep(letters, inverse, max_len, None, lambda value, lt: None)

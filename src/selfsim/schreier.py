@@ -11,10 +11,10 @@ yields an invertible transducer whose state g maps coset p to p.g.
 from collections import deque, namedtuple
 import operator
 
-from .action import _check_sweep_cap, _reduced_sweep, _signed_codes
-from .errors import BadAction, BadAssignment, FormatError
+from .action import _check_sweep_cap, _gen_codes, _hit_sweep, _signed_codes, _sweep_count
+from .errors import BadAction, BadAssignment, FormatError, NotInvertible
 from .graphgroup import SINK_NAME
-from .mealy import MealyAutomaton, code_table, content_lines, enriched_dual, inverse_symbol
+from .mealy import MealyAutomaton, content_lines, inverse_symbol
 
 
 class FiniteAction:
@@ -204,38 +204,37 @@ def verify_loop_shortening(aut: MealyAutomaton, max_len: int, cap=None) -> LoopR
     letters erased has to be strictly shorter than the input.  The walks,
     reduced words times vertices, must fit under the level cap.
 
-    One sweep over the reduced words carries, for each start vertex, the
-    end of the word's walk, or 0 once the walk erased an output letter; so
-    a word costs one table lookup per vertex.
+    The enriched dual is read off the machine's own tables: its vertices
+    are the letters, and the generator g (or g^-1) goes from letter x to
+    g's image of x (or preimage), erasing its output when the residual
+    there is the sink.  A word's value carries, for each start vertex, the
+    end of the word's walk, or 0 once the walk erased an output letter.
+    action._hit_sweep lists only the words whose walk closes at some
+    vertex, in sweep order, from the finite graph of (value, last letter)
+    states; words_checked still counts every walk of the sweep.
     """
-    ed = enriched_dual(aut)
-    gens = [s for s in aut.states if s != aut.sink]
-    width = 2 * len(gens)
-    _check_sweep_cap(width, width - 1, max_len, len(ed.states), cap, "loop sweep")
-    # walk the enriched dual's integer tables: its states (the cosets) are
-    # the codes 1..n, and it has no sink
-    rows, aidx = ed.core().rows, ed._aidx
-    erasable = {aidx.get(aut.sink), aidx.get(inverse_symbol(aut.sink))}
-    vertices = range(1, len(ed.states) + 1)
+    if not aut.invertible:
+        raise NotInvertible("enriched dual requires an invertible automaton")
+    codes = _gen_codes(aut)
+    width = 2 * len(codes)
+    _check_sweep_cap(width, width - 1, max_len, len(aut.alphabet), cap, "loop sweep")
+    core = aut.core()
 
-    def ends(g):
-        """End vertex of each one-letter walk along g, 0 when it erases; 0 stays 0."""
-        t = aidx[g]
-        return [0] + [0 if rows[v][t][0] in erasable else rows[v][t][1] for v in vertices]
+    def ends(c):
+        """End vertex of each one-letter walk along code c, 0 when it erases; 0 stays 0."""
+        return [0] + [y + 1 if r else 0 for y, r in core.rows[c]]
 
-    moves = code_table([ends(g) for g in gens], [ends(inverse_symbol(g)) for g in gens])
-    letter = code_table([(g, 1) for g in gens], [(g, -1) for g in gens])
-    start = tuple(vertices)
+    signed, inverse = _signed_codes(codes)
+    moves = {c: ends(c).__getitem__ for c in signed}
+    start = tuple(range(1, len(aut.alphabet) + 1))
     violations = []
-    checked = 0
-    for word, walk in _reduced_sweep(*_signed_codes(range(1, len(gens) + 1)), max_len, start,
-                                     lambda walk, c: tuple(map(moves[c].__getitem__, walk))):
-        checked += len(start)
-        if any(map(operator.eq, walk, start)):
-            violations.extend((ed.states[q - 1], tuple(map(letter.__getitem__, word)))
-                              for q, end in zip(start, walk) if end == q)
+    for word, walk in _hit_sweep(signed, inverse, max_len, start,
+                                 lambda walk, c: tuple(map(moves[c], walk)),
+                                 lambda walk: any(map(operator.eq, walk, start))):
+        violations.extend((aut.alphabet[q - 1], tuple(map(core.letters.__getitem__, word)))
+                          for q, end in zip(start, walk) if end == q)
     status = "Pass" if not violations else "Violations"
-    return LoopReport(status, tuple(violations), checked)
+    return LoopReport(status, tuple(violations), len(start) * _sweep_count(width, max_len))
 
 
 # -- textual format -------------------------------------------------------------

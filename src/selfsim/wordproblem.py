@@ -17,6 +17,8 @@ from .action import (
     _check_sweep_cap,
     _decode_word,
     _encode_word,
+    _gen_codes,
+    _hit_sweep,
     _inverse,
     _letter_indices,
     _level_walk,
@@ -28,6 +30,8 @@ from .action import (
     _restrict,
     _signed_codes,
     _step_word,
+    _sweep_count,
+    _sweep_rank,
     check_level_cap,
     parse_word,
 )
@@ -339,11 +343,6 @@ class Nucleus:
 
     def __repr__(self):
         return "Nucleus(%s)" % ", ".join(str(w) for w in self.elements)
-
-
-def _gen_codes(aut):
-    """Positive codes of the non-sink states, in state order."""
-    return [i + 1 for i, s in enumerate(aut.states) if s != aut.sink]
 
 
 def _lex_key(word):
@@ -681,12 +680,16 @@ def check_reducible(aut: MealyAutomaton, max_len: int, max_depth: int,
     Chains cut off by max_depth leave the word unresolved.  The number of
     words scanned must fit under the level cap.
 
-    One sweep over the reduced words carries, for each letter x, the image
-    of x and the last code of the residual at x while that residual keeps
-    the word's length (None once it is shorter, 0 for the empty word), as
-    one number per (x, image, last code) triple.  So a word costs one table
-    lookup per letter, and only a word with a same-length residual at a
-    fixed letter is walked.
+    A word's value carries, for each letter x, the image of x and the last
+    code of the residual at x while that residual keeps the word's length
+    (None once it is shorter, 0 for the empty word), as one number per
+    (x, image, last code) triple.  A word is walked only when its value
+    fixes a letter and, with max_depth >= 0, has a same-length residual at
+    a fixed letter.  action._hit_sweep lists exactly those words, in sweep
+    order, from the finite graph of (value, last letter) states, so the
+    work is bounded by the states, not by the words; words_scanned still
+    counts the words of the sweep up to the verdict, through
+    action._sweep_rank and action._sweep_count.
     """
     if not aut.invertible:
         raise NotInvertible("reducibility scan needs an invertible automaton")
@@ -722,24 +725,23 @@ def check_reducible(aut: MealyAutomaton, max_len: int, max_depth: int,
     signed, inverse = _signed_codes(codes)
     moves = {c: mover(c) for c in signed}
     start = tuple(number[x, x, 0] for x in letters)
+    misses = long_fixed.isdisjoint if max_depth >= 0 else fixed.isdisjoint
     unresolved = []
-    scanned = 0
     max_chain = 0
-    for ls, value in _reduced_sweep(signed, inverse, max_len, start,
-                                    lambda value, c: tuple(map(moves[c], value))):
-        scanned += 1
-        if fixed.isdisjoint(value) or (max_depth >= 0 and long_fixed.isdisjoint(value)):
-            continue
+    for ls, value in _hit_sweep(signed, inverse, max_len, start,
+                                lambda value, c: tuple(map(moves[c], value)),
+                                lambda value: not misses(value)):
         ok, chain, deep = _chains_shorten(rows, letters, ls, max_depth)
         max_chain = max(max_chain, chain)
         if not ok:
             first_fixed = next(x for x in letters if value[x] in fixed)
             return ReducibilityReport(
                 "Counterexample", (_decode_word(aut, ls), aut.alphabet[first_fixed]),
-                (), scanned, max_chain)
+                (), _sweep_rank(signed, inverse, ls), max_chain)
         if deep:
             unresolved.append(_decode_word(aut, ls))
 
+    scanned = _sweep_count(width, max_len)
     if unresolved:
         return ReducibilityReport("Inconclusive", None, tuple(unresolved), scanned, max_chain)
     return ReducibilityReport("Pass", None, (), scanned, max_chain)

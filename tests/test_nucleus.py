@@ -8,9 +8,10 @@ by the per-representative closure lookup, kept below as the reference,
 down to the cap error it raises under tight caps.  No pair product may be
 formed twice, and the shortlex search must find the words the closure
 search `_shortest` finds.
-The reducibility scan's explicit-stack chain walk is compared with the
-recursive walk it replaced, and the Aleshin machine is checked as a free,
-non-contracting fixture.
+The reducibility scan's explicit-stack chain walk and its state-graph
+sweep are compared with the recursive per-word walk they replaced, the
+sweep's steps are counted against its states, and the Aleshin machine is
+checked as a free, non-contracting fixture.
 """
 
 import itertools
@@ -34,6 +35,7 @@ from selfsim import (
 from selfsim.action import (
     _decode_word,
     _encode_word,
+    _hit_sweep,
     _inverse,
     _product,
     _step_word,
@@ -395,7 +397,9 @@ def test_chain_walk_matches_the_recursive_walk():
 
 def test_sweep_scan_matches_the_reference_scan():
     # the sweep skips the walk for words whose fixed letters all shorten at once,
-    # and max_depth < 0 still leaves every word that fixes a letter unresolved
+    # and max_depth < 0 still leaves every word that fixes a letter unresolved;
+    # at (5, 4) most random machines give a Counterexample, whose words_scanned
+    # is the word's place in the sweep
     rng = random.Random(7)
     machines = [builtin_automaton(name) for name in ("star3", "basilica", "non_reducible_demo")]
     machines += [_build(_random_machine(rng)) for _ in range(40)]
@@ -405,9 +409,42 @@ def test_sweep_scan_matches_the_reference_scan():
         assert report == _reference_check_reducible(aut, 3, -1)
         statuses.add(report.status)
     assert "Inconclusive" in statuses
+    statuses = set()
+    for aut in machines[3:]:
+        report = check_reducible(aut, 5, 4)
+        assert report == _reference_check_reducible(aut, 5, 4)
+        statuses.add(report.status)
+    assert statuses == {"Pass", "Counterexample"}
     for name in ("star3", "basilica"):
         aut = builtin_automaton(name)
         assert check_reducible(aut, 5, 8) == _reference_check_reducible(aut, 5, 8)
+
+
+def test_scan_steps_are_bounded_by_the_sweep_states(monkeypatch):
+    # fig5 at (6, 8) sweeps 664,300 words; the scan steps each (value, last letter)
+    # state once per letter that may follow it, and lists no word, as none is walked
+    sweeps = []
+
+    def counting(letters, inverse, max_len, start, step, hit):
+        steps, states = [0], {(start, None)}
+
+        def counted(value, letter):
+            steps[0] += 1
+            after = step(value, letter)
+            states.add((after, letter))
+            return after
+
+        listed = list(_hit_sweep(letters, inverse, max_len, start, counted, hit))
+        sweeps.append((steps[0], len(states), len(letters), len(listed)))
+        return iter(listed)
+
+    monkeypatch.setattr(selfsim.wordproblem, "_hit_sweep", counting)
+    report = check_reducible(builtin_automaton("fig5_tree"), 6, 8)
+    assert report == ReducibilityReport("Pass", None, (), 664_300, 0)
+    (steps, states, width, listed), = sweeps
+    assert steps <= states * width
+    assert steps < 664_300 // 20
+    assert listed == 0
 
 
 def test_chain_walk_is_iterative():

@@ -4,12 +4,16 @@
 enumerator kept below as the reference, in the same order, give each word
 the value folded over the whole word, and keep no value of its longest
 level; `iter_reduced_words` is the sweep with the empty word in front.
+`action._hit_sweep` must list exactly the sweep's items whose value is a
+hit, in sweep order, and `_sweep_count` and `_sweep_rank` must give the
+sweep's length and each word's place in it.
 The loop-shortening scan carries one end vertex per start vertex through
-it and must equal the per-word walk it replaced, kept below as the
-reference, and the positive-word scan streams the words that a stored list
-of each length gave.  The reducibility, loop, positive-word and
-shortest-representative sweeps refuse, before they start, a negative
-length and a scan whose word count passes the level cap.
+the hit sweep and must equal the per-word walk over the enriched dual it
+replaced, kept below as the reference, and the positive-word scan streams
+the words that a stored list of each length gave.  The reducibility, loop,
+positive-word and shortest-representative sweeps and `iter_reduced_words`
+refuse, before they start, a negative length, and the sweeps a scan whose
+word count passes the level cap.
 """
 
 import functools
@@ -28,8 +32,15 @@ from selfsim import (
     make_automaton,
     shortest_representative,
 )
-from selfsim.action import _reduced_sweep, _signed_codes, iter_reduced_words
-from selfsim.errors import BadGraph, LevelTooLarge
+from selfsim.action import (
+    _hit_sweep,
+    _reduced_sweep,
+    _signed_codes,
+    _sweep_count,
+    _sweep_rank,
+    iter_reduced_words,
+)
+from selfsim.errors import BadGraph, LevelTooLarge, NotInvertible
 from selfsim.schreier import (
     FiniteAction,
     LoopReport,
@@ -91,6 +102,72 @@ def test_sweep_keeps_no_value_of_its_longest_level():
             assert all(ref() is None for ref in longest)
             longest.append(weakref.ref(value))
     assert len(longest) == 4 * 3 * 3
+
+
+# -- the hit sweep over the graph of (value, last letter) states ------------------------
+
+def _random_table(rng, letters):
+    """A step over 1-6 values: step(value, letter) is a seeded random value."""
+    size = rng.randint(1, 6)
+    table = {(v, lt): rng.randrange(size) for v in range(size) for lt in letters}
+    return lambda value, lt: table[value, lt]
+
+
+def test_hit_sweep_lists_the_sweep_items_that_hit():
+    rng = random.Random(1313)
+    kinds = set()
+    for _ in range(300):
+        codes = list(range(1, rng.randint(1, 3) + 1))
+        letters, inverse = _signed_codes(codes)
+        max_len = rng.randint(0, 5)
+        step = _random_table(rng, letters)
+        swept = list(_reduced_sweep(letters, inverse, max_len, 0, step))
+        shorter = {value for word, value in swept if len(word) < max_len}
+        chosen = {v for v in range(6) if rng.random() < 0.3}
+        hits = {
+            "none": lambda value: False,
+            "all": lambda value: True,
+            "some": chosen.__contains__,
+            # values that only words of the longest length reach
+            "last level": lambda value: value not in shorter,
+        }
+        for kind, hit in hits.items():
+            expected = [item for item in swept if hit(item[1])]
+            assert list(_hit_sweep(letters, inverse, max_len, 0, step, hit)) == expected
+            if kind == "last level" and expected:
+                kinds.add(kind)
+                assert all(len(word) == max_len for word, _ in expected)
+    assert kinds == {"last level"}
+
+
+def test_hit_sweep_steps_each_state_once_per_letter():
+    letters, inverse = _signed_codes([1, 2])
+    calls = []
+
+    def step(value, lt):
+        calls.append((value, lt))
+        return (value + lt) % 3
+
+    listed = list(_hit_sweep(letters, inverse, 8, 0, step, lambda value: value == 2))
+    assert len(calls) <= (3 * 4 + 1) * 4 < _sweep_count(4, 8)
+    assert listed == [item for item in _reduced_sweep(letters, inverse, 8, 0, step)
+                      if item[1] == 2]
+
+
+@pytest.mark.parametrize("codes", [[], [1], [1, 2], [1, 2, 3]])
+@pytest.mark.parametrize("max_len", [0, 1, 2, 5])
+def test_sweep_count_is_the_sweep_length(codes, max_len):
+    letters, inverse = _signed_codes(codes)
+    swept = _reduced_sweep(letters, inverse, max_len, None, lambda value, lt: None)
+    assert _sweep_count(len(letters), max_len) == sum(1 for _ in swept)
+
+
+@pytest.mark.parametrize("codes", [[1], [1, 2], [2, 5, 7]])
+def test_sweep_rank_is_the_sweep_position(codes):
+    letters, inverse = _signed_codes(codes)
+    swept = _reduced_sweep(letters, inverse, 4, None, lambda value, lt: None)
+    for position, (word, _) in enumerate(swept, 1):
+        assert _sweep_rank(letters, inverse, word) == position
 
 
 # -- loop shortening against the per-word walk ----------------------------------------
@@ -156,6 +233,47 @@ def test_loop_sweep_matches_the_per_word_walk():
     assert statuses == {"Pass", "Violations"}
 
 
+def test_loop_sweep_matches_the_per_word_walk_at_length_five():
+    # coset machines with random assignments, and invertible edge-shaped machines,
+    # whose closed walks often keep every letter
+    rng = random.Random(505)
+    statuses = []
+    for _ in range(20):
+        action = _random_action(rng, rng.randint(1, 5))
+        aut = build_reducible_automaton(action, _random_assignment(rng, action))
+        report = verify_loop_shortening(aut, 5)
+        assert report == _reference_loops(aut, 5)
+        statuses.append(report.status)
+    for _ in range(20):
+        aut = _oriented_machine(rng)
+        report = verify_loop_shortening(aut, 5)
+        assert report == _reference_loops(aut, 5)
+        statuses.append(report.status)
+    assert statuses.count("Violations") >= 5 and statuses.count("Pass") >= 5
+
+
+def test_loop_sweep_on_a_machine_without_a_sink():
+    # no output letter is erased, so every closed walk is a violation
+    aut = make_automaton(["a", "b"], ["0", "1", "2"], [
+        ("a", "0", "b", "1"), ("a", "1", "a", "2"), ("a", "2", "b", "0"),
+        ("b", "0", "a", "0"), ("b", "1", "b", "2"), ("b", "2", "a", "1"),
+    ])
+    assert aut.sink is None
+    report = verify_loop_shortening(aut, 5)
+    assert report == _reference_loops(aut, 5)
+    assert report.status == "Violations"
+
+
+def test_loop_sweep_refuses_a_machine_that_is_not_invertible():
+    aut = make_automaton(["a", "e"], ["0", "1"], [
+        ("a", "0", "e", "0"), ("a", "1", "a", "0"), ("e", "0", "e", "0"), ("e", "1", "e", "1"),
+    ], sink="e")
+    with pytest.raises(NotInvertible, match="^enriched dual requires an invertible automaton$"):
+        enriched_dual(aut)
+    with pytest.raises(NotInvertible, match="^enriched dual requires an invertible automaton$"):
+        verify_loop_shortening(aut, 3)
+
+
 # -- the caps count the reduced words the sweeps walk ------------------------------------
 
 def test_loop_sweep_cap_counts_reduced_words():
@@ -198,7 +316,8 @@ def test_representative_search_cap_counts_reduced_words(star, fig5):
     ("loop sweep", lambda: verify_loop_shortening(builtin_automaton("star3"), -2)),
     ("representative search",
      lambda: shortest_representative(builtin_automaton("star3"), "a", -1)),
-], ids=["reducible", "acyclic", "loops", "representative"])
+    ("reduced word", lambda: iter_reduced_words("ab", -1)),
+], ids=["reducible", "acyclic", "loops", "representative", "reduced-words"])
 def test_sweeps_refuse_a_negative_length(what, call):
     # a vacuous Pass over no words would read as a checked claim
     with pytest.raises(LevelTooLarge, match="^%s length must be >= 0$" % what):
