@@ -297,6 +297,9 @@ def level1_permutation(aut: MealyAutomaton, w) -> dict:
 
 
 def check_level_cap(aut: MealyAutomaton, k: int, cap=None):
+    """Raise LevelTooLarge for a negative level k, or when |X|^k passes the cap."""
+    if k < 0:
+        raise LevelTooLarge("level must be >= 0")
     cap = DEFAULT_LEVEL_CAP if cap is None else cap
     if len(aut.alphabet) ** k > cap:
         raise LevelTooLarge(
@@ -310,8 +313,6 @@ def stabilizes_level(aut: MealyAutomaton, w, k: int, cap=None) -> bool:
     Evaluated by the memoized wreath walk, which agrees with enumerating
     the level but shares repeated sections.
     """
-    if k < 0:
-        raise LevelTooLarge("level must be >= 0")
     check_level_cap(aut, k, cap)
     return _level_walk(aut, _public_word(aut, w), k, False)
 
@@ -387,45 +388,24 @@ def iter_level_words(aut: MealyAutomaton, k: int, cap=None):
     yield from itertools.product(aut.alphabet, repeat=k)
 
 
-def _reduced_sweep(letters, inverse, max_len, start, step):
-    """(word, value) for the nonempty freely reduced words of length <= max_len.
-
-    Words come by length, and within a length in the order of their
-    prefixes and then of `letters`; `inverse` maps each letter to its
-    inverse letter.  A word's value is step(value of the word without its
-    last letter, last letter), and the empty word's value is `start`, so
-    each value is computed once, from its prefix.  Only words shorter than
-    max_len are kept for extension: the longest level is yielded as it is
-    made and never stored.
-    """
-    after = {lt: [c for c in letters if c != inverse[lt]] for lt in letters}
-    level = [((), start)]
-    for n in range(1, max_len + 1):
-        keep = n < max_len
-        fresh = []
-        for word, value in level:
-            for lt in after[word[-1]] if word else letters:
-                item = (word + (lt,), step(value, lt))
-                yield item
-                if keep:
-                    fresh.append(item)
-        level = fresh
-
-
 def _hit_sweep(letters, inverse, max_len, start, step, hit):
-    """The items of _reduced_sweep(letters, inverse, max_len, start, step) whose value is a hit.
+    """(word, value) for the nonempty reduced words of length <= max_len whose value hits.
 
-    What follows a word in the sweep depends only on its state, the pair
-    (value, last letter), and there are far fewer states than words.  One
-    breadth-first walk numbers the states that words of length <= max_len
-    reach, computing each state's step once per letter that may follow it,
-    and asks `hit` once per state.  One backward breadth-first walk from
-    the hit states gives each state the fewest letters that still reach a
-    hit.  The words are then listed level by level, as _reduced_sweep lists
-    them, and a prefix is kept only while a hit lies within the letters
-    left; when nothing hits, no word is listed.  Values must be hashable.
-    States are numbered in the order they are found and kept in lists, so
-    the listing does not depend on hashing.
+    Words come by length, within a length in the order of their prefixes,
+    and then in the order of `letters`; `inverse` maps each letter to its
+    inverse letter.  A word's value is step(value of the word without its
+    last letter, last letter), and the empty word's value is `start`.
+    What follows a word depends only on its state, the pair (value, last
+    letter), and there are far fewer states than words.  One breadth-first
+    walk numbers the states that words of length <= max_len reach,
+    computing each state's step once per letter that may follow it, and
+    asks `hit` once per state.  One backward breadth-first walk from the
+    hit states gives each state the fewest letters that still reach a hit.
+    The words are then listed level by level, and a prefix is kept only
+    while a hit lies within the letters left; when nothing hits, or
+    max_len <= 0, no word is listed.  Values must be hashable.  States are
+    numbered in the order they are found and kept in lists, so the listing
+    does not depend on hashing.
     """
     after = {lt: [c for c in letters if c != inverse[lt]] for lt in letters}
     after[None] = letters
@@ -463,23 +443,29 @@ def _hit_sweep(letters, inverse, max_len, start, step, hit):
             if dist[i] == far:
                 dist[i] = d
                 queue.append(i)
-    # letters from each state with successors to the nearest hit past it
+    # letters from each state with successors to the nearest hit past it;
+    # states first reached at the last level have no entry
     ahead = [1 + min(map(dist.__getitem__, kids), default=far) for kids in succ]
-    level = [((), 0)] if max_len and ahead[0] <= max_len else []
+    level = [((), 0)] if max_len > 0 and ahead[0] <= max_len else []
     for n in range(1, max_len + 1):
         left = max_len - n
         fresh = []
         for word, i in level:
             for lt, j in zip(after[lasts[i]], succ[i]):
+                longer = word + (lt,)
                 if hits[j]:
-                    yield word + (lt,), values[j]
+                    yield longer, values[j]
                 if left and ahead[j] <= left:
-                    fresh.append((word + (lt,), j))
+                    fresh.append((longer, j))
         level = fresh
 
 
 def _sweep_count(width, max_len):
-    """Number of words _reduced_sweep lists over `width` letters closed under inverses."""
+    """Number of nonempty reduced words of length <= max_len over `width` letters.
+
+    The letters are closed under inverses.  With a hit that is always true,
+    this is the number of words _hit_sweep lists.
+    """
     branching = width - 1
     if branching == 1:
         return width * max_len
@@ -487,7 +473,10 @@ def _sweep_count(width, max_len):
 
 
 def _sweep_rank(letters, inverse, word):
-    """1-based position of the nonempty reduced word in _reduced_sweep's listing."""
+    """1-based position of the nonempty reduced word in _hit_sweep's order.
+
+    That is its place in the listing when the hit is always true.
+    """
     width, index, options = len(letters), 0, letters
     for lt in word:
         index = index * (width - 1) + options.index(lt)
@@ -532,16 +521,19 @@ def _check_sweep_cap(width, branching, max_len, per_word, cap, what):
 
 
 def iter_reduced_words(generators, max_len: int, include_empty: bool = True):
-    """Freely reduced words over the generators, by length then construction order.
+    """Freely reduced words over the generators, in _hit_sweep's order.
 
-    The letter order interleaves signs: g1, g1^-1, g2, g2^-1, ...  A
-    negative max_len is refused, as for the sweeps.
+    That is by length, then prefix order, then letter order, and the letter
+    order interleaves signs: g1, g1^-1, g2, g2^-1, ...  The listing is
+    _hit_sweep with no value and a hit that is always true.  A negative
+    max_len is refused, as for the sweeps.
     """
     if max_len < 0:
         raise LevelTooLarge("reduced word length must be >= 0")
     letters = [(g, s) for g in generators for s in (1, -1)]
     inverse = {(g, s): (g, -s) for g, s in letters}
-    sweep = _reduced_sweep(letters, inverse, max_len, None, lambda value, lt: None)
+    sweep = _hit_sweep(letters, inverse, max_len, None, lambda value, lt: None,
+                       lambda value: True)
     words = map(operator.itemgetter(0), sweep)
     return itertools.chain([()], words) if include_empty else words
 

@@ -299,5 +299,7 @@ def load_assignment(text: str) -> dict:
             tail = int(fields[0])
         except ValueError:
             raise FormatError("line %d: tail must be an integer coset" % lineno)
+        if (tail, fields[1]) in out:
+            raise FormatError("line %d: duplicate arc (%d, %r)" % (lineno, tail, fields[1]))
         out[(tail, fields[1])] = fields[2]
     return out

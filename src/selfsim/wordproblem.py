@@ -24,7 +24,6 @@ from .action import (
     _level_walk,
     _memo,
     _product,
-    _reduced_sweep,
     _remember,
     _require_invertible_for,
     _restrict,
@@ -407,8 +406,9 @@ def _first_words(aut, keys, max_len):
     Shortlex order over the reduced words, stopped once every key is found.
     A candidate is keyed only when its level-one permutation, the first |X|
     entries of a key, is that of a key still wanted; the permutation is
-    composed from the candidate's prefix.  One sweep covers the words up to
-    length max_len - 1 and keeps that last level.  The last length is not
+    composed from the candidate's prefix.  action._hit_sweep, with a hit
+    that is always true, lists the words up to length max_len - 1, each with
+    its permutation, and that last level is kept.  The last length is not
     swept: a prefix is extended only by the letters c with step(prefix
     permutation, c) a wanted permutation, looked up in a table of
     step(wanted, -c), in prefix order and then letter order, which is the
@@ -439,7 +439,7 @@ def _first_words(aut, keys, max_len):
     if not pending:
         return found
     last = []
-    sweep = _reduced_sweep(signed, inverse, max_len - 1, identity, step)
+    sweep = _hit_sweep(signed, inverse, max_len - 1, identity, step, lambda perm: True)
     for candidate, perm in itertools.chain([((), identity)], sweep):
         if perm in perms and take(candidate):
             return found

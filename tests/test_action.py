@@ -21,7 +21,12 @@ from selfsim import (
     transposition_word,
     wreath,
 )
-from selfsim.action import free_reduce, iter_reduced_words
+from selfsim.action import (
+    check_level_cap,
+    free_reduce,
+    iter_level_words,
+    iter_reduced_words,
+)
 from selfsim.errors import (
     AlphabetMismatch,
     Disconnected,
@@ -215,6 +220,16 @@ def test_single_state_moves_level_one(star):
 def test_level_cap(star):
     with pytest.raises(LevelTooLarge):
         stabilizes_level(star, "a", 3, cap=10)
+
+
+def test_negative_level_is_refused(star):
+    # the level cap refuses it, for the level walk and the level listing alike
+    with pytest.raises(LevelTooLarge, match="^level must be >= 0$"):
+        stabilizes_level(star, "a", -1)
+    with pytest.raises(LevelTooLarge, match="^level must be >= 0$"):
+        list(iter_level_words(star, -1))
+    with pytest.raises(LevelTooLarge, match="^level must be >= 0$"):
+        check_level_cap(star, -2)
 
 
 # -- level-one permutations ----------------------------------------------------------

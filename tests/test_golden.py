@@ -49,6 +49,9 @@ CASES = [
     ("verify-loops-assignment",
      ["verify-loops", "--action", "action4.txt", "--assignment", "assignment4.txt",
       "--max-len", "3"], 0),
+    ("verify-loops-assignment-duplicate",
+     ["verify-loops", "--action", "action4.txt", "--assignment", "assignment4-dup.txt",
+      "--max-len", "3"], 1),
     ("wp-fragile-identity",
      ["wp", "--builtin", "fig5_tree", "-w", FIG5_COMM, "--method", "fragile", "--kmax", "4"], 0),
     ("wp-fragile-nonidentity",

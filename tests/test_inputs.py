@@ -103,6 +103,16 @@ def test_loaders_share_the_tokenizer():
     assert load_assignment("\n# tree arcs\n0 a a  # keep\n\n") == {(0, "a"): "a"}
 
 
+def test_assignment_arc_appears_once():
+    # a repeated arc would silently replace the earlier output
+    with pytest.raises(FormatError, match=r"^line 2: duplicate arc \(0, 'a'\)$"):
+        load_assignment("0 a id\n0 a b\n")
+    with pytest.raises(FormatError, match=r"^line 4: duplicate arc \(1, 'b'\)$"):
+        load_assignment("# arcs\n1 b a\n0 b b\n1 b a  # same output again\n")
+    assert load_assignment("0 a id\n0 b b\n1 a b\n") == {
+        (0, "a"): "id", (0, "b"): "b", (1, "a"): "b"}
+
+
 @pytest.mark.parametrize("text", [
     "degree 2\nbasepoint 1\ndegree 3 7\nbasepoint 0\na: 1 2 0\n",
     "degree 3\ndegree 3\na: 1 2 0\n",

@@ -1,12 +1,13 @@
-"""The prefix-carrying reduced-word sweep and the scans built on it.
+"""The reduced-word sweep and the scans built on it.
 
-`action._reduced_sweep` must list the words of the level-at-a-time
-enumerator kept below as the reference, in the same order, give each word
-the value folded over the whole word, and keep no value of its longest
-level; `iter_reduced_words` is the sweep with the empty word in front.
-`action._hit_sweep` must list exactly the sweep's items whose value is a
-hit, in sweep order, and `_sweep_count` and `_sweep_rank` must give the
-sweep's length and each word's place in it.
+`action._hit_sweep` is the one reduced-word sweep.  With a hit that is
+always true it must list the words of the level-at-a-time enumerator kept
+below as the reference, in the same order, each with the value folded over
+the whole word, and nothing for a length of 0 or less; `iter_reduced_words`
+is that listing with the empty word in front.  With any other hit it must
+list exactly the reference items whose value is a hit, in reference order,
+and `_sweep_count` and `_sweep_rank` must give the reference's length and
+each word's place in it.
 The loop-shortening scan carries one end vertex per start vertex through
 the hit sweep and must equal the per-word walk over the enriched dual it
 replaced, kept below as the reference, and the positive-word scan streams
@@ -18,7 +19,6 @@ word count passes the level cap.
 
 import functools
 import random
-import weakref
 
 import pytest
 
@@ -34,7 +34,6 @@ from selfsim import (
 )
 from selfsim.action import (
     _hit_sweep,
-    _reduced_sweep,
     _signed_codes,
     _sweep_count,
     _sweep_rank,
@@ -56,6 +55,10 @@ def _fold(value, letter):
     return value + (letter,)
 
 
+def _always(value):
+    return True
+
+
 def _reference_words(letters, inverse, max_len):
     """Nonempty freely reduced words, one whole length at a time."""
     level = [()]
@@ -65,43 +68,30 @@ def _reference_words(letters, inverse, max_len):
         yield from level
 
 
+def _reference_items(letters, inverse, max_len, start, step):
+    """(word, value) for the reference words, each value folded over the whole word."""
+    return [(word, functools.reduce(step, word, start))
+            for word in _reference_words(letters, inverse, max_len)]
+
+
 @pytest.mark.parametrize("codes", [[1], [1, 2], [1, 2, 3], [2, 5]])
-@pytest.mark.parametrize("max_len", [0, 1, 2, 4])
+@pytest.mark.parametrize("max_len", [-1, 0, 1, 2, 4])
 def test_sweep_lists_the_reduced_words_with_their_folds(codes, max_len):
-    swept = list(_reduced_sweep(*_signed_codes(codes), max_len, ("start",), _fold))
-    words = list(_reference_words(*_signed_codes(codes), max_len))
-    assert [word for word, _ in swept] == words
-    assert all(value == functools.reduce(_fold, word, ("start",)) for word, value in swept)
+    letters, inverse = _signed_codes(codes)
+    swept = list(_hit_sweep(letters, inverse, max_len, ("start",), _fold, _always))
+    assert swept == _reference_items(letters, inverse, max_len, ("start",), _fold)
 
 
 def test_sweep_over_letters_follows_the_reference():
     letters = [(g, s) for g in "ab" for s in (1, -1)]
     inverse = {(g, s): (g, -s) for g, s in letters}
     words = list(_reference_words(letters, inverse, 3))
-    swept = _reduced_sweep(letters, inverse, 3, 0, lambda n, letter: n + letter[1])
+    swept = _hit_sweep(letters, inverse, 3, 0, lambda n, letter: n + letter[1], _always)
     assert [(word, value) for word, value in swept] == [
         (word, sum(s for _, s in word)) for word in words]
     assert list(iter_reduced_words("ab", 3)) == [()] + words
     assert list(iter_reduced_words("ab", 3, include_empty=False)) == words
-
-
-class _Value:
-    __slots__ = ("word", "__weakref__")
-
-    def __init__(self, word):
-        self.word = word
-
-
-def test_sweep_keeps_no_value_of_its_longest_level():
-    sweep = _reduced_sweep(*_signed_codes([1, 2]), 3, _Value(()),
-                           lambda value, c: _Value(value.word + (c,)))
-    longest = []
-    for word, value in sweep:
-        assert value.word == word
-        if len(word) == 3:
-            assert all(ref() is None for ref in longest)
-            longest.append(weakref.ref(value))
-    assert len(longest) == 4 * 3 * 3
+    assert list(iter_reduced_words("ab", 0)) == [()]
 
 
 # -- the hit sweep over the graph of (value, last letter) states ------------------------
@@ -121,12 +111,12 @@ def test_hit_sweep_lists_the_sweep_items_that_hit():
         letters, inverse = _signed_codes(codes)
         max_len = rng.randint(0, 5)
         step = _random_table(rng, letters)
-        swept = list(_reduced_sweep(letters, inverse, max_len, 0, step))
+        swept = _reference_items(letters, inverse, max_len, 0, step)
         shorter = {value for word, value in swept if len(word) < max_len}
         chosen = {v for v in range(6) if rng.random() < 0.3}
         hits = {
             "none": lambda value: False,
-            "all": lambda value: True,
+            "all": _always,
             "some": chosen.__contains__,
             # values that only words of the longest length reach
             "last level": lambda value: value not in shorter,
@@ -150,7 +140,7 @@ def test_hit_sweep_steps_each_state_once_per_letter():
 
     listed = list(_hit_sweep(letters, inverse, 8, 0, step, lambda value: value == 2))
     assert len(calls) <= (3 * 4 + 1) * 4 < _sweep_count(4, 8)
-    assert listed == [item for item in _reduced_sweep(letters, inverse, 8, 0, step)
+    assert listed == [item for item in _reference_items(letters, inverse, 8, 0, step)
                       if item[1] == 2]
 
 
@@ -158,15 +148,14 @@ def test_hit_sweep_steps_each_state_once_per_letter():
 @pytest.mark.parametrize("max_len", [0, 1, 2, 5])
 def test_sweep_count_is_the_sweep_length(codes, max_len):
     letters, inverse = _signed_codes(codes)
-    swept = _reduced_sweep(letters, inverse, max_len, None, lambda value, lt: None)
-    assert _sweep_count(len(letters), max_len) == sum(1 for _ in swept)
+    words = _reference_words(letters, inverse, max_len)
+    assert _sweep_count(len(letters), max_len) == sum(1 for _ in words)
 
 
 @pytest.mark.parametrize("codes", [[1], [1, 2], [2, 5, 7]])
 def test_sweep_rank_is_the_sweep_position(codes):
     letters, inverse = _signed_codes(codes)
-    swept = _reduced_sweep(letters, inverse, 4, None, lambda value, lt: None)
-    for position, (word, _) in enumerate(swept, 1):
+    for position, word in enumerate(_reference_words(letters, inverse, 4), 1):
         assert _sweep_rank(letters, inverse, word) == position
 
 
