@@ -383,9 +383,12 @@ def _level_walk(aut, word, k, empty_leaves):
 
 
 def iter_level_words(aut: MealyAutomaton, k: int, cap=None):
-    """All words of length k over the alphabet, in lexicographic letter order."""
+    """All words of length k over the alphabet, in lexicographic letter order.
+
+    The level is checked at the call, before anything is listed.
+    """
     check_level_cap(aut, k, cap)
-    yield from itertools.product(aut.alphabet, repeat=k)
+    return itertools.product(aut.alphabet, repeat=k)
 
 
 def _hit_sweep(letters, inverse, max_len, start, step, hit):

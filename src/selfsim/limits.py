@@ -7,7 +7,8 @@ them: either a bare integer (level cap) or comma separated pairs like
 ``level=2000000,quotient=9,nucleus-depth=64,nucleus-size=1024``.  Every cap
 is a positive integer, and each key may appear once.  MEMO_LIMIT and
 MAX_POWER_STATES are plain constants with no SELFSIM_CAPS key; MEMO_LIMIT
-bounds each memo a machine keeps: the closure verdicts (`wp`), the shared
+bounds each memo a machine keeps: the closure verdicts of the words that
+fix level one (`wp`; a word that moves a letter is never stored), the shared
 NonIdentity verdicts, one per witness (`moved`), the level walks (`stab`,
 `fragile`) and the nucleus element keys (`key`).
 """

@@ -133,32 +133,31 @@ def restriction_closure(aut: MealyAutomaton, w):
 
 
 def _verdict(aut, word) -> WpVerdict:
-    """Closure verdict of a code word, memoized on the code word.
+    """Closure verdict of a code word.
 
     The word's own images come first: the walk steps the root's letters
     first, in letter order, so the first letter the word moves is the
-    walk's witness, read off without a walk.  Only a word that fixes every
-    letter is walked.  A walk that finds no moved letter has listed the
+    walk's witness, read off without a walk or a memo lookup.  Only a word
+    that fixes every letter of level one is memoized on the code word, and
+    walked on a miss.  A walk that finds no moved letter has listed the
     whole closure, which is the Identity certificate.
     """
+    rows = aut.core().rows
+    for x in range(len(aut.alphabet)):
+        y = x
+        for c in word:
+            y = rows[c][y][0]
+        if y != x:
+            return _moved_verdict(aut, (x,))
     memo = _memo(aut, "wp")
     verdict = memo.get(word)
     if verdict is None:
-        rows = aut.core().rows
-        for x in range(len(aut.alphabet)):
-            y = x
-            for c in word:
-                y = rows[c][y][0]
-            if y != x:
-                verdict = _moved_verdict(aut, (x,))
-                break
+        witness, order, _, _ = _closure_scan(aut, [word], True, keep_perms=False)
+        if witness is None:
+            cert = tuple(_decode_word(aut, res) for res in order)
+            verdict = WpVerdict("Identity", None, cert, "closure")
         else:
-            witness, order, _, _ = _closure_scan(aut, [word], True, keep_perms=False)
-            if witness is None:
-                cert = tuple(_decode_word(aut, res) for res in order)
-                verdict = WpVerdict("Identity", None, cert, "closure")
-            else:
-                verdict = _moved_verdict(aut, witness)
+            verdict = _moved_verdict(aut, witness)
         _remember(memo, word, verdict, MEMO_LIMIT)
     return verdict
 

@@ -220,14 +220,20 @@ def test_single_state_moves_level_one(star):
 def test_level_cap(star):
     with pytest.raises(LevelTooLarge):
         stabilizes_level(star, "a", 3, cap=10)
+    # the level listing refuses a level past the cap at the call
+    n = len(star.alphabet)
+    with pytest.raises(LevelTooLarge, match="^level 3 enumeration has %d\\^3 entries" % n):
+        iter_level_words(star, 3, cap=n ** 3 - 1)
+    assert len(list(iter_level_words(star, 3, cap=n ** 3))) == n ** 3
 
 
 def test_negative_level_is_refused(star):
-    # the level cap refuses it, for the level walk and the level listing alike
+    # the level cap refuses it, for the level walk and the level listing
+    # alike; the listing refuses it at the call, before it is iterated
     with pytest.raises(LevelTooLarge, match="^level must be >= 0$"):
         stabilizes_level(star, "a", -1)
     with pytest.raises(LevelTooLarge, match="^level must be >= 0$"):
-        list(iter_level_words(star, -1))
+        iter_level_words(star, -1)
     with pytest.raises(LevelTooLarge, match="^level must be >= 0$"):
         check_level_cap(star, -2)
 

@@ -3,7 +3,8 @@
 stabilizes_level and fragile_member run one iterative level walk; the
 residual-closure walker must list what the prefix-carrying breadth-first
 scan it replaced lists, kept below as the reference, and the closure
-decider must answer as that scan does; the level method's witness is the
+decider must answer as that scan does and memoize only the words that fix
+level one; the level method's witness is the
 shortlex-first moved word; the positive-word oracle steps
 through the group-word step function; acyclicity and nucleus persistence
 use the one SCC routine; the spanning tree is read off the coset graph's
@@ -24,6 +25,7 @@ from selfsim.action import (
     _step_word,
     apply_word,
     iter_level_words,
+    iter_reduced_words,
     restrict_word,
     stabilizes_level,
 )
@@ -245,8 +247,50 @@ def test_decider_answers_as_the_reference_scan():
         verdict = is_identity(aut, _decode_word(aut, word))
         assert (verdict.decision, verdict.witness, verdict.certificate, verdict.method) \
             == expected + ("closure",)
+        # asked again: the same verdict, and the one shared record of its
+        # witness when the word moves a letter
+        again = is_identity(aut, _decode_word(aut, word))
+        assert again == verdict
+        if witness is not None:
+            assert again is verdict
     assert kinds == {"identity", "moved deeper", "moved at the first letter",
                      "moved at a later root letter"}
+
+
+def _level_one_fixer(aut, gens):
+    """Whether a word fixes level one, from each letter's images by apply_word."""
+    images = {(g, s): [aut.alphabet.index(apply_word(aut, [(g, s)], (x,))[0])
+                       for x in aut.alphabet] for g in gens for s in (1, -1)}
+
+    def fixes(word):
+        for x in range(len(aut.alphabet)):
+            y = x
+            for letter in word:
+                y = images[letter][y]
+            if y != x:
+                return False
+        return True
+    return fixes
+
+
+def _memo_machines():
+    for name in ("fig5_tree", "star3", "basilica"):
+        aut = builtin_automaton(name)
+        yield aut, [s for s in aut.states if s != aut.sink]
+    for aut, gens, _ in _walk_cases(515, 200):
+        yield aut, gens
+
+
+def test_closure_memo_keeps_only_the_words_that_fix_level_one():
+    # a word that moves a letter of level one is answered from its images,
+    # with no memo lookup or write; every other word is memoized on its code
+    for aut, gens in _memo_machines():
+        fixes, fixers = _level_one_fixer(aut, gens), set()
+        for word in iter_reduced_words(gens, 4):
+            is_identity(aut, word)
+            if fixes(word):
+                fixers.add(_encode_word(aut, word))
+        assert set(aut._cache["wp"]) == fixers
 
 
 def test_non_identity_verdicts_are_shared_per_witness():
