@@ -17,7 +17,7 @@ word once with _encode_word, steps codes with _step_word, and decodes only
 what it returns.
 """
 
-from collections import deque
+from collections import deque, namedtuple
 import itertools
 import operator
 
@@ -30,7 +30,7 @@ from .errors import (
     NotInvertible,
     UnknownGenerator,
 )
-from .limits import DEFAULT_LEVEL_CAP, MEMO_LIMIT
+from .limits import DEFAULT_LEVEL_CAP, MEMO_LIMIT, power_exceeds
 from .mealy import MealyAutomaton, symbol_str
 
 
@@ -262,21 +262,8 @@ def restrict_word(aut: MealyAutomaton, w, u) -> GroupWord:
     return _decode_word(aut, _restrict(aut.core().rows, word, _letter_indices(aut, u)))
 
 
-class SelfSimilarRep:
-    """Level-one permutation together with the residual at each letter."""
-
-    __slots__ = ("perm", "sections")
-
-    def __init__(self, perm, sections):
-        self.perm = dict(perm)
-        self.sections = dict(sections)
-
-    def __eq__(self, other):
-        return (isinstance(other, SelfSimilarRep)
-                and self.perm == other.perm and self.sections == other.sections)
-
-    def __repr__(self):
-        return "SelfSimilarRep(perm=%r, sections=%r)" % (self.perm, self.sections)
+# perm: letter -> image letter; sections: letter -> residual GroupWord (both dicts).
+SelfSimilarRep = namedtuple("SelfSimilarRep", "perm sections")
 
 
 def wreath(aut: MealyAutomaton, w) -> SelfSimilarRep:
@@ -297,14 +284,16 @@ def level1_permutation(aut: MealyAutomaton, w) -> dict:
 
 
 def check_level_cap(aut: MealyAutomaton, k: int, cap=None):
-    """Raise LevelTooLarge for a negative level k, or when |X|^k passes the cap."""
+    """Raise LevelTooLarge for a negative level k, or when |X|^k or k passes the cap."""
     if k < 0:
         raise LevelTooLarge("level must be >= 0")
     cap = DEFAULT_LEVEL_CAP if cap is None else cap
-    if len(aut.alphabet) ** k > cap:
+    if power_exceeds(len(aut.alphabet), k, cap):
         raise LevelTooLarge(
             "level %d enumeration has %d^%d entries, cap is %d"
             % (k, len(aut.alphabet), k, cap))
+    if k > cap:                      # one letter: 1^k never passes the cap
+        raise LevelTooLarge("level %d is deeper than the cap %d" % (k, cap))
 
 
 def stabilizes_level(aut: MealyAutomaton, w, k: int, cap=None) -> bool:
@@ -543,20 +532,13 @@ def iter_reduced_words(generators, max_len: int, include_empty: bool = True):
 
 # -- dual path combinatorics ---------------------------------------------
 
-class DualPath:
+class DualPath(namedtuple("DualPath", "start inputs outputs vertices")):
     """Trace of reading a positive state word from a letter of the alphabet.
 
     `vertices` has one more entry than `inputs`; `outputs` is the letter
     exact residual sequence, sink occurrences included.
     """
-
-    __slots__ = ("start", "inputs", "outputs", "vertices")
-
-    def __init__(self, start, inputs, outputs, vertices):
-        self.start = start
-        self.inputs = tuple(inputs)
-        self.outputs = tuple(outputs)
-        self.vertices = tuple(vertices)
+    __slots__ = ()
 
     @property
     def condensed(self):
@@ -574,10 +556,6 @@ class DualPath:
             items.append((a, b))
             items.append(self.vertices[i + 1])
         return tuple(items)
-
-    def __eq__(self, other):
-        return (isinstance(other, DualPath)
-                and self.full() == other.full())
 
     def __repr__(self):
         steps = "".join(
@@ -610,7 +588,7 @@ def dual_path(aut: MealyAutomaton, x, u) -> DualPath:
         outputs.append(aut.next(a, v))
         v = aut.out(a, v)
         vertices.append(v)
-    return DualPath(x, u, outputs, vertices)
+    return DualPath(x, u, tuple(outputs), tuple(vertices))
 
 
 def loops_at(aut: MealyAutomaton, x):
@@ -623,20 +601,12 @@ def loops_at(aut: MealyAutomaton, x):
                  if aut.out(s, x) == x and aut.next(s, x) == aut.sink)
 
 
-class Noose:
-    """First excursion of a dual path that leaves x and comes back to it."""
+class Noose(namedtuple("Noose", "start stop letters outputs")):
+    """First excursion of a dual path that leaves x and comes back to it.
 
-    __slots__ = ("start", "stop", "letters", "outputs")
-
-    def __init__(self, start, stop, letters, outputs):
-        self.start = start          # slice indices into the input word
-        self.stop = stop
-        self.letters = tuple(letters)
-        self.outputs = tuple(outputs)
-
-    def __eq__(self, other):
-        return (isinstance(other, Noose) and self.start == other.start
-                and self.stop == other.stop and self.letters == other.letters)
+    `start` and `stop` are slice indices into the input word.
+    """
+    __slots__ = ()
 
     def __repr__(self):
         return "Noose(%d:%d, %s)" % (self.start, self.stop, " ".join(map(str, self.letters)))

@@ -5,6 +5,7 @@ endpoint letters, restricts to itself on the tail and to the sink elsewhere.
 Also holds the fixture menagerie used across the test suite and the CLI.
 """
 
+from collections import namedtuple
 import re
 
 from .errors import BadGraph, EmptyGraph, FormatError, UnknownFixture
@@ -13,29 +14,11 @@ from .mealy import MealyAutomaton, content_lines, make_automaton
 SINK_NAME = "id"
 
 
-class Edge:
-    __slots__ = ("name", "tail", "head")
-
-    def __init__(self, name, tail, head):
-        self.name = name
-        self.tail = tail
-        self.head = head
+class Edge(namedtuple("Edge", "name tail head")):
+    __slots__ = ()
 
     def endpoints(self):
         return frozenset((self.tail, self.head))
-
-    def __iter__(self):
-        return iter((self.name, self.tail, self.head))
-
-    def __eq__(self, other):
-        return (isinstance(other, Edge)
-                and (self.name, self.tail, self.head) == (other.name, other.tail, other.head))
-
-    def __hash__(self):
-        return hash((self.name, self.tail, self.head))
-
-    def __repr__(self):
-        return "Edge(%r, %r, %r)" % (self.name, self.tail, self.head)
 
 
 def _check_token(kind, token):
@@ -63,7 +46,7 @@ class OrientedGraph:
         pairs = set()
         cooked = []
         for item in edges:
-            e = item if isinstance(item, Edge) else Edge(*item)
+            e = Edge(*item)
             _check_token("edge", e.name)
             _check_token("vertex", e.tail)
             _check_token("vertex", e.head)
@@ -141,27 +124,6 @@ def _is_connected(g: OrientedGraph) -> bool:
                 seen.add(other)
                 stack.append(other)
     return len(seen) == len(g.vertices)
-
-
-def is_forest(g: OrientedGraph) -> bool:
-    """Every connected component is a tree (no undirected cycles)."""
-    adj = g.adjacency()
-    seen = set()
-    for root in g.vertices:
-        if root in seen:
-            continue
-        seen.add(root)
-        stack = [(root, None)]
-        while stack:
-            v, via = stack.pop()
-            for e, other in adj[v]:
-                if e.name == via:
-                    continue
-                if other in seen:
-                    return False
-                seen.add(other)
-                stack.append((other, e.name))
-    return True
 
 
 def line_graph_complement(g: OrientedGraph):

@@ -17,13 +17,13 @@ import os
 
 from .errors import FormatError
 
-DEFAULT_LEVEL_CAP = 10 ** 6      # max |X|**k entries in a level enumeration
+DEFAULT_LEVEL_CAP = 10 ** 6      # max |X|**k entries in a level enumeration, and max k
 DEFAULT_QUOTIENT_CAP = 8         # max |X| for the level-one quotient order; gates the
                                  # alphabet size only, no closure is enumerated
 DEFAULT_NUCLEUS_DEPTH = 64       # max breadth-first levels per pair product
 DEFAULT_NUCLEUS_SIZE = 512       # max number of nucleus elements
 MEMO_LIMIT = 300_000             # max entries kept in each per-automaton memo
-MAX_POWER_STATES = 10 ** 6       # max states of mealy.power's n-th power machine
+MAX_POWER_STATES = 10 ** 6       # max states of mealy.power's n-th power machine, and max n
 
 _KEYS = {
     "level": "level_cap",
@@ -31,6 +31,15 @@ _KEYS = {
     "nucleus-depth": "nucleus_depth",
     "nucleus-size": "nucleus_size",
 }
+
+
+def power_exceeds(base, exp, cap) -> bool:
+    """True iff base ** exp > cap for a positive base, without the full power.
+
+    2 ** cap.bit_length() already passes the cap, so no larger exponent has
+    to be raised.
+    """
+    return base ** min(exp, cap.bit_length()) > cap
 
 
 def positive_int(text) -> int:

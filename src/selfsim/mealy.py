@@ -24,7 +24,7 @@ from .errors import (
     NoSink,
     NotInvertible,
 )
-from .limits import MAX_POWER_STATES
+from .limits import MAX_POWER_STATES, power_exceeds
 
 
 class _Tag:
@@ -129,11 +129,6 @@ class MealyAutomaton:
     def out(self, state, letter):
         return self._out[(state, letter)]
 
-    def out_inverse(self, state, letter):
-        """The letter y with out(state, y) == letter; the state must act by a permutation."""
-        x, _ = self.core().rows[-(self._sidx[state] + 1)][self._aidx[letter]]
-        return self.alphabet[x]
-
     def core(self):
         """The integer transition tables of this machine, built on first use."""
         if self._core is None:
@@ -146,12 +141,6 @@ class MealyAutomaton:
             for x in self.alphabet:
                 yield s, x, self._next[(s, x)], self._out[(s, x)]
 
-    def state_index(self, state):
-        return self._sidx[state]
-
-    def letter_index(self, letter):
-        return self._aidx[letter]
-
     # -- equality is exact table equality ------------------------------
 
     def __eq__(self, other):
@@ -160,10 +149,6 @@ class MealyAutomaton:
         return (self.states == other.states and self.alphabet == other.alphabet
                 and self.sink == other.sink and self._next == other._next
                 and self._out == other._out)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         if self._hash is None:
@@ -262,11 +247,6 @@ def is_invertible(aut: MealyAutomaton) -> bool:
     return aut.invertible
 
 
-def with_sink(aut: MealyAutomaton, sink) -> MealyAutomaton:
-    """The same table with a different declared sink (validated)."""
-    return MealyAutomaton(aut.states, aut.alphabet, aut._next, aut._out, sink=sink)
-
-
 def inverse(aut: MealyAutomaton) -> MealyAutomaton:
     """The machine of formal inverses: each s -(x|y)-> t becomes s' -(y|x)-> t'."""
     if not aut.invertible:
@@ -332,8 +312,10 @@ def power(aut: MealyAutomaton, n: int) -> MealyAutomaton:
     """n-th power: states are n-tuples, the first coordinate consumes the input first."""
     if not isinstance(n, int) or n < 1:
         raise BadPower("power requires an integer n >= 1, got %r" % (n,))
-    if len(aut.states) ** n > MAX_POWER_STATES:
+    if power_exceeds(len(aut.states), n, MAX_POWER_STATES):
         raise BadPower("power automaton would have %d^%d states" % (len(aut.states), n))
+    if n > MAX_POWER_STATES:         # one state: a single n-tuple, still capped
+        raise BadPower("power %d is larger than the cap %d" % (n, MAX_POWER_STATES))
     states = tuple(itertools.product(aut.states, repeat=n))
     next_map, out_map = {}, {}
     for tup in states:
@@ -458,26 +440,6 @@ def is_bounded(aut: MealyAutomaton) -> bool:
                 return False
             queue.extend(comp_succ[ci])
     return True
-
-
-def sink_avoiding_path_count(aut: MealyAutomaton, n: int) -> int:
-    """Number of length-n directed paths in the transition diagram avoiding the sink."""
-    if aut.sink is None:
-        raise NoSink("path counting needs a declared sink")
-    nodes = [s for s in aut.states if s != aut.sink]
-    counts = {s: 1 for s in nodes}
-    for _ in range(n):
-        nxt = {s: 0 for s in nodes}
-        for s in nodes:
-            c = counts[s]
-            if not c:
-                continue
-            for x in aut.alphabet:
-                t = aut.next(s, x)
-                if t != aut.sink:
-                    nxt[t] += c
-        counts = nxt
-    return sum(counts.values())
 
 
 def bisimulation_classes(aut: MealyAutomaton):

@@ -56,26 +56,14 @@ class FiniteAction:
     def act(self, point: int, gen: str) -> int:
         return self.perms[gen][point]
 
-    def act_inverse(self, point: int, gen: str) -> int:
-        return self.perms[gen].index(point)
-
     def __repr__(self):
         return "FiniteAction(%s on %d points, basepoint %d)" % (
             " ".join(self.generators), self.degree, self.basepoint)
 
 
-class SchreierGraph:
-    """Orbit of the basepoint with one labeled arc per generator and point."""
-
-    __slots__ = ("action", "vertices", "arcs")
-
-    def __init__(self, action, vertices, arcs):
-        self.action = action
-        self.vertices = tuple(vertices)
-        self.arcs = tuple(arcs)      # (p, gen, q) with q = p.gen, positive arcs
-
-    def __repr__(self):
-        return "SchreierGraph(%d cosets, %d arcs)" % (len(self.vertices), len(self.arcs))
+# The orbit of the basepoint, and one positive arc (p, gen, q) with q = p.gen
+# per point and generator.
+SchreierGraph = namedtuple("SchreierGraph", "action vertices arcs")
 
 
 def schreier_graph(action: FiniteAction) -> SchreierGraph:
@@ -95,9 +83,9 @@ def schreier_graph(action: FiniteAction) -> SchreierGraph:
                 seen.add(q)
                 order.append(q)
                 queue.append(q)
-    arcs = [(p, g, action.act(p, g))
-            for p in order for g in action.generators]
-    return SchreierGraph(action, order, arcs)
+    arcs = tuple((p, g, action.act(p, g))
+                 for p in order for g in action.generators)
+    return SchreierGraph(action, tuple(order), arcs)
 
 
 def spanning_tree(sch: SchreierGraph):

@@ -6,6 +6,7 @@ import pytest
 from selfsim import (
     GroupWord,
     apply_word,
+    build_reducible_automaton,
     builtin,
     commutator,
     dual_path,
@@ -13,6 +14,7 @@ from selfsim import (
     find_noose,
     format_word,
     level1_permutation,
+    load_action,
     loops_at,
     parse_word,
     reduce_word,
@@ -225,6 +227,24 @@ def test_level_cap(star):
     with pytest.raises(LevelTooLarge, match="^level 3 enumeration has %d\\^3 entries" % n):
         iter_level_words(star, 3, cap=n ** 3 - 1)
     assert len(list(iter_level_words(star, 3, cap=n ** 3))) == n ** 3
+
+
+def test_level_cap_is_decided_without_the_full_power(fig5):
+    # 6^(10^9) is never computed; the message is the one for two or more letters
+    message = r"^level 1000000000 enumeration has 6\^1000000000 entries, cap is 1000000$"
+    with pytest.raises(LevelTooLarge, match=message):
+        check_level_cap(fig5, 10 ** 9)
+
+
+def test_one_letter_level_cap():
+    # 1^k never passes the cap, so on the one-letter coset machine k itself is capped
+    one = build_reducible_automaton(load_action("degree 1\na: 0\n"))
+    assert stabilizes_level(one, "a", 10 ** 6)
+    deeper = "^level 1000001 is deeper than the cap 1000000$"
+    with pytest.raises(LevelTooLarge, match=deeper):
+        stabilizes_level(one, "a", 10 ** 6 + 1)
+    with pytest.raises(LevelTooLarge, match=deeper):
+        iter_level_words(one, 10 ** 6 + 1)
 
 
 def test_negative_level_is_refused(star):

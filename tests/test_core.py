@@ -170,17 +170,6 @@ def test_non_permutation_inverse_raises_every_time(first, second):
             is_identity(aut, word)
 
 
-@pytest.mark.parametrize("order", [("q", "p"), ("p", "q")])
-def test_out_inverse_raises_every_time(order):
-    aut = _half_invertible()
-    for state in order + order:
-        if state == "q":
-            with pytest.raises(NotInvertible, match="state q does not act by a permutation"):
-                aut.out_inverse("q", "0")
-        else:
-            assert aut.out_inverse("p", "0") == "1"
-
-
 def test_permutation_state_inverse_on_a_non_invertible_machine():
     aut = _half_invertible()
     verdict = is_identity(aut, [("p", -1)])

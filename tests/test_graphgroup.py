@@ -18,7 +18,6 @@ from selfsim import (
     parse_word,
 )
 from selfsim.errors import BadGraph, EmptyGraph, UnknownFixture
-from selfsim.graphgroup import is_forest
 
 from test_mealy import make_star
 
@@ -66,7 +65,6 @@ def test_is_tree(star_graph, fig5_graph):
     assert not is_tree(builtin("triangle_cyclic"))
     two_edges = OrientedGraph([("e", "1", "2"), ("f", "3", "4")])
     assert not is_tree(two_edges)
-    assert is_forest(two_edges)
 
 
 def test_line_graph_complement(fig5_graph, star_graph):

@@ -31,7 +31,6 @@ from selfsim.errors import (
     NoSink,
     NotInvertible,
 )
-from selfsim.mealy import sink_avoiding_path_count, with_sink
 
 STAR_RECORDS = [
     ("a", "0", "a", "1"), ("a", "1", "id", "0"), ("a", "2", "id", "2"), ("a", "3", "id", "3"),
@@ -48,6 +47,18 @@ def make_star():
 def make_identity_automaton():
     return make_automaton(["id"], ["0", "1"],
                           [("id", "0", "id", "0"), ("id", "1", "id", "1")], sink="id")
+
+
+def with_sink(aut, sink):
+    """The same table with a different declared sink (validated)."""
+    return make_automaton(aut.states, aut.alphabet, aut.transitions(), sink=sink)
+
+
+def test_inequality_follows_equality(star):
+    assert not make_star() != star
+    changed = [("a", "2", "a", "2") if r == ("a", "2", "id", "2") else r for r in STAR_RECORDS]
+    assert make_automaton(star.states, star.alphabet, changed, sink="id") != star
+    assert star != "star3" and not star == "star3"
 
 
 def test_make_star_is_valid_and_invertible(star):
@@ -221,6 +232,20 @@ def test_power_rejects_bad_exponent(star):
         power(star, 0)
 
 
+def test_power_cap_is_decided_without_the_full_power(basilica):
+    # 3^(10^9) is never computed; the message is the one for two or more states
+    with pytest.raises(BadPower, match=r"^power automaton would have 3\^1000000000 states$"):
+        power(basilica, 10 ** 9)
+
+
+def test_one_state_power_is_capped():
+    one = make_identity_automaton()
+    assert power(one, 3).states == (("id", "id", "id"),)
+    # 1^n never passes the state cap, so n itself is capped
+    with pytest.raises(BadPower, match="^power 1000001 is larger than the cap 1000000$"):
+        power(one, 10 ** 6 + 1)
+
+
 def make_two_cycle_unbounded():
     records = [
         ("p", "0", "p", "0"), ("p", "1", "q", "1"), ("p", "2", "id", "2"),
@@ -256,6 +281,21 @@ def test_path_joining_two_cycles_unbounded():
 def test_is_bounded_requires_sink(star):
     with pytest.raises(NoSink):
         is_bounded(dual(star))
+
+
+def sink_avoiding_path_count(aut, n):
+    """Reference growth oracle for is_bounded: length-n paths avoiding the sink."""
+    nodes = [s for s in aut.states if s != aut.sink]
+    counts = {s: 1 for s in nodes}
+    for _ in range(n):
+        nxt = {s: 0 for s in nodes}
+        for s in nodes:
+            for x in aut.alphabet:
+                t = aut.next(s, x)
+                if t != aut.sink:
+                    nxt[t] += counts[s]
+        counts = nxt
+    return sum(counts.values())
 
 
 def test_path_count_cross_check(star, basilica):

@@ -1,4 +1,4 @@
-"""The engine's result records: repr, str, hash, immutability and tuple behaviour."""
+"""The engine's records: repr, str, hash, immutability and tuple behaviour."""
 
 import os
 import pathlib
@@ -12,14 +12,19 @@ from selfsim import (
     check_acyclic_no_positive_identity,
     check_reducible,
     dichotomy,
+    dual_path,
+    find_noose,
     is_identity,
     load_action,
     presentation_from_tree,
+    schreier_graph,
     semigroup_eq_via_action,
     trace_word,
     verify_loop_shortening,
     wp_fragile,
+    wreath,
 )
+from selfsim.action import Noose
 from selfsim.errors import UnknownGenerator
 from selfsim.tracemonoid import TraceWord
 
@@ -62,6 +67,19 @@ RECORDS = [
     (lambda f: dichotomy([[A], [A]]),
      "kind component pair",
      "DichotomyResult(kind='Abelian', component=None, pair=None)"),
+    (lambda f: dual_path(f["star"], "0", "a a"),
+     "start inputs outputs vertices",
+     "DualPath(0 -(a|a)-> 1 -(a|id)-> 0)"),
+    (lambda f: find_noose(f["star"], "0", "a a"),
+     "start stop letters outputs",
+     "Noose(0:2, a a)"),
+    (lambda f: f["star_graph"].edges[0],
+     "name tail head",
+     "Edge(name='a', tail='0', head='1')"),
+    (lambda f: schreier_graph(load_action("degree 1\na: 0\n")),
+     "action vertices arcs",
+     "SchreierGraph(action=FiniteAction(a on 1 points, basepoint 0), vertices=(0,), "
+     "arcs=((0, 'a', 0),))"),
 ]
 
 
@@ -87,6 +105,34 @@ def test_records_are_tuples(fixtures):
     assert (decision, witness, certificate, method) == ("NonIdentity", ("0",), None, "closure")
     assert verdict == ("NonIdentity", ("0",), None, "closure")
     assert not verdict.identity
+
+
+@pytest.mark.parametrize("make,fields,text", RECORDS, ids=[r[2].split("(")[0] for r in RECORDS])
+def test_records_unpack_and_equal_plain_tuples(make, fields, text, fixtures):
+    record = make(fixtures)
+    assert record._fields == tuple(fields.split())
+    values = tuple(getattr(record, name) for name in fields.split())
+    assert tuple(record) == values
+    assert record == values
+
+
+def test_wreath_record_holds_dicts(fixtures):
+    rep = wreath(fixtures["adding"], "e")
+    assert rep._fields == ("perm", "sections")
+    assert repr(rep) == ("SelfSimilarRep(perm={'0': '1', '1': '0'}, "
+                         "sections={'0': GroupWord(e), '1': GroupWord(1)})")
+    perm, sections = rep
+    assert rep == (perm, sections)
+    with pytest.raises(TypeError):        # its fields are dicts
+        hash(rep)
+    with pytest.raises(AttributeError):
+        rep.perm = {}
+
+
+def test_noose_equality_compares_outputs():
+    noose = Noose(0, 2, ("a", "a"), ("a", "id"))
+    assert noose == Noose(0, 2, ("a", "a"), ("a", "id"))
+    assert noose != Noose(0, 2, ("a", "a"), ("id", "id"))
 
 
 def test_record_str():
