@@ -30,7 +30,7 @@ from .errors import (
     NotInvertible,
     UnknownGenerator,
 )
-from .limits import DEFAULT_LEVEL_CAP, MEMO_LIMIT, power_exceeds
+from .limits import DEFAULT_LEVEL_CAP, MEMO_LIMIT, number_text, power_exceeds
 from .mealy import MealyAutomaton, symbol_str
 
 
@@ -290,10 +290,11 @@ def check_level_cap(aut: MealyAutomaton, k: int, cap=None):
     cap = DEFAULT_LEVEL_CAP if cap is None else cap
     if power_exceeds(len(aut.alphabet), k, cap):
         raise LevelTooLarge(
-            "level %d enumeration has %d^%d entries, cap is %d"
-            % (k, len(aut.alphabet), k, cap))
+            "level %s enumeration has %d^%s entries, cap is %s"
+            % (number_text(k), len(aut.alphabet), number_text(k), number_text(cap)))
     if k > cap:                      # one letter: 1^k never passes the cap
-        raise LevelTooLarge("level %d is deeper than the cap %d" % (k, cap))
+        raise LevelTooLarge("level %s is deeper than the cap %s"
+                            % (number_text(k), number_text(cap)))
 
 
 def stabilizes_level(aut: MealyAutomaton, w, k: int, cap=None) -> bool:
@@ -340,7 +341,11 @@ def _level_walk(aut, word, k, empty_leaves):
     if result is not None:
         return result
     rows, letters = aut.core().rows, range(len(aut.alphabet))
-    stack = [(word, k, iter(letters), set())]
+    # a frame's set only skips a residual already met at an earlier letter,
+    # so a one-letter frame needs none; and only on one letter can k, and so
+    # the stack, go deeper than log2 of the level cap
+    many = len(letters) > 1
+    stack = [(word, k, iter(letters), set() if many else None)]
     while stack:
         ls, depth, todo, seen = stack[-1]
         if result is not False:          # first visit, or the last child held
@@ -350,9 +355,10 @@ def _level_walk(aut, word, k, empty_leaves):
                 if y != x:
                     result = False
                     break
-                if res in seen:
-                    continue
-                seen.add(res)
+                if seen is not None:
+                    if res in seen:
+                        continue
+                    seen.add(res)
                 if not res:                  # the empty word fixes every level
                     result = True
                 elif depth == 1:
@@ -360,7 +366,7 @@ def _level_walk(aut, word, k, empty_leaves):
                 else:
                     result = memo.get((res, depth - 1))
                     if result is None:
-                        stack.append((res, depth - 1, iter(letters), set()))
+                        stack.append((res, depth - 1, iter(letters), set() if many else None))
                         break
                 if not result:
                     break

@@ -42,6 +42,21 @@ def power_exceeds(base, exp, cap) -> bool:
     return base ** min(exp, cap.bit_length()) > cap
 
 
+def number_text(value) -> str:
+    """repr(value) for a message, with an int past 18 digits given by its digit count.
+
+    str() of an int refuses more than a few thousand digits, and a message
+    need not print a number that long in full.
+    """
+    if not isinstance(value, int) or -10 ** 18 < value < 10 ** 18:
+        return repr(value)
+    size = abs(value)
+    digits = max(1, int(size.bit_length() * 0.30102999566398120) - 1)   # log10(2)
+    while 10 ** digits <= size:
+        digits += 1
+    return "%s<%d-digit number>" % ("-" if value < 0 else "", digits)
+
+
 def positive_int(text) -> int:
     """A cap value: a positive integer, else ValueError."""
     value = int(text)

@@ -24,7 +24,7 @@ from .errors import (
     NoSink,
     NotInvertible,
 )
-from .limits import MAX_POWER_STATES, power_exceeds
+from .limits import MAX_POWER_STATES, number_text, power_exceeds
 
 
 class _Tag:
@@ -311,11 +311,12 @@ def enriched_dual(aut: MealyAutomaton) -> MealyAutomaton:
 def power(aut: MealyAutomaton, n: int) -> MealyAutomaton:
     """n-th power: states are n-tuples, the first coordinate consumes the input first."""
     if not isinstance(n, int) or n < 1:
-        raise BadPower("power requires an integer n >= 1, got %r" % (n,))
+        raise BadPower("power requires an integer n >= 1, got %s" % number_text(n))
     if power_exceeds(len(aut.states), n, MAX_POWER_STATES):
-        raise BadPower("power automaton would have %d^%d states" % (len(aut.states), n))
+        raise BadPower("power automaton would have %d^%s states"
+                       % (len(aut.states), number_text(n)))
     if n > MAX_POWER_STATES:         # one state: a single n-tuple, still capped
-        raise BadPower("power %d is larger than the cap %d" % (n, MAX_POWER_STATES))
+        raise BadPower("power %s is larger than the cap %d" % (number_text(n), MAX_POWER_STATES))
     states = tuple(itertools.product(aut.states, repeat=n))
     next_map, out_map = {}, {}
     for tup in states:
@@ -461,19 +462,52 @@ def bisimulation_classes(aut: MealyAutomaton):
 def _refine_partition(outputs, succ):
     """Coarsest partition of 0..n-1 with equal outputs and equal successor blocks.
 
-    Moore refinement: the blocks start as the classes of equal `outputs[i]`
-    and are split by the blocks of the successors `succ[i]` until their
-    number stops changing.  Returns the block of each index; blocks are
-    numbered in order of first occurrence.
+    The blocks start as the classes of equal `outputs[i]` and are split by
+    the blocks of the successors `succ[i]`, the signature of a member,
+    until no block splits.  A block keeps its id across passes: when it
+    splits, its largest part keeps the id and the other parts take new
+    ones.  A signature changes only when a successor moves to a new block,
+    so after the first pass, which re-signs every block, a pass re-signs
+    only the blocks that hold a predecessor of a state moved in the pass
+    before it, as splitter refinement does (Valmari & Lehtinen, STACS
+    2008).  Only blocks of two or more states keep a member list, since a
+    singleton cannot split, and one scan of those lists finds the blocks to
+    re-sign, so no predecessor lists are kept.  The result is the coarsest
+    such partition, the one Moore refinement reaches, and it is returned as
+    the block of each index, blocks numbered in order of first occurrence.
     """
     ids = {}
     block = [ids.setdefault(out, len(ids)) for out in outputs]
-    while True:
-        count, ids = len(ids), {}
-        block = [ids.setdefault((b, tuple(block[j] for j in kids)), len(ids))
-                 for b, kids in zip(block, succ)]
-        if len(ids) == count:
-            return block
+    count, members = len(ids), {}        # members of the blocks that can split
+    for i, b in enumerate(block):
+        members.setdefault(b, []).append(i)
+    members = {b: group for b, group in members.items() if len(group) > 1}
+    dirty = list(members)
+    while dirty:
+        moved = bytearray(len(block))
+        for b in dirty:
+            parts = {}
+            for i in members[b]:
+                parts.setdefault(tuple(map(block.__getitem__, succ[i])), []).append(i)
+            if len(parts) == 1:
+                continue
+            parts = sorted(parts.values(), key=len, reverse=True)
+            for part in parts[1:]:
+                for i in part:
+                    block[i] = count
+                    moved[i] = 1
+                if len(part) > 1:
+                    members[count] = part
+                count += 1
+            if len(parts[0]) > 1:
+                members[b] = parts[0]
+            else:
+                del members[b]
+        reached = moved.__getitem__
+        dirty = [b for b, group in members.items()
+                 if any(any(map(reached, succ[i])) for i in group)] if 1 in moved else ()
+    ids = {}
+    return [ids.setdefault(b, len(ids)) for b in block]
 
 
 def bisimulation_quotient(aut: MealyAutomaton) -> MealyAutomaton:

@@ -370,9 +370,9 @@ def _element_key(aut, word):
 
     One closure walk (_closure_scan), breadth first in letter order,
     lists each residual's level-one permutation and the indices of its
-    successors.  Moore partition refinement (mealy._refine_partition) merges
+    successors.  Partition refinement (mealy._refine_partition) merges
     equal residuals: the classes start as the permutation classes and are
-    split by successor classes until their number stops changing.  Classes
+    split by successor classes until none splits.  Classes
     are numbered by first occurrence in discovery order, which is the
     breadth-first order of the minimal machine from its root.  The key
     lists the classes in that order, each as its permutation followed by
@@ -403,59 +403,97 @@ def _first_words(aut, keys, max_len):
     """Shortlex-first reduced code word of length <= max_len for each element key.
 
     Shortlex order over the reduced words, stopped once every key is found.
-    A candidate is keyed only when its level-one permutation, the first |X|
+    A candidate is tried only when its level-one permutation, the first |X|
     entries of a key, is that of a key still wanted; the permutation is
-    composed from the candidate's prefix.  action._hit_sweep, with a hit
-    that is always true, lists the words up to length max_len - 1, each with
-    its permutation, and that last level is kept.  The last length is not
-    swept: a prefix is extended only by the letters c with step(prefix
-    permutation, c) a wanted permutation, looked up in a table of
-    step(wanted, -c), in prefix order and then letter order, which is the
-    sweep's own order.  Keys without such a word are missing from the
-    result.  The machine must be invertible, so -c undoes c.
+    composed from the candidate's prefix.  The candidate is then matched
+    (_acts_as) against each wanted key with that permutation, and is never
+    keyed itself.  action._hit_sweep, with a hit that is always true, lists
+    the words up to length max_len - 1, each with its permutation, and that
+    last level is kept.  The last length is not swept: a prefix is
+    extended only by the letters c with step(prefix permutation, c) a
+    wanted permutation, looked up in a table of step(wanted, -c), in prefix
+    order and then letter order, which is the sweep's own order.  Keys
+    without such a word are missing from the result.  The machine must be
+    invertible, so -c undoes c.
     """
     rows, n = aut.core().rows, len(aut.alphabet)
     signed, inverse = _signed_codes(_gen_codes(aut))
     moves = {c: tuple(rows[c][x][0] for x in range(n)) for c in signed}
     identity = tuple(range(n))
-    pending = set(keys)
+    wanted = {}                          # level-one permutation -> keys still wanted
+    for key in keys:
+        wanted.setdefault(key[:n], []).append(key)
     found = {}
-    perms = {key[:n] for key in pending}
 
     def step(perm, c):
         return tuple(map(moves[c].__getitem__, perm))
 
-    def take(candidate):
-        """Key a candidate; True once every key is found."""
-        nonlocal perms
-        key = _element_key(aut, candidate)
-        if key in pending:
-            pending.remove(key)
-            found[key] = candidate
-            perms = {key[:n] for key in pending}
-        return not pending
+    def take(candidate, perm):
+        """Match a candidate with a wanted permutation; True once every key is found."""
+        pending = wanted[perm]
+        for key in pending:
+            if _acts_as(rows, n, candidate, key):
+                found[key] = candidate
+                pending.remove(key)
+                if not pending:
+                    del wanted[perm]
+                break
+        return not wanted
 
-    if not pending:
+    if not wanted:
         return found
     last = []
     sweep = _hit_sweep(signed, inverse, max_len - 1, identity, step, lambda perm: True)
     for candidate, perm in itertools.chain([((), identity)], sweep):
-        if perm in perms and take(candidate):
+        if perm in wanted and take(candidate, perm):
             return found
         if len(candidate) == max_len - 1:
             last.append((candidate, perm))
     ends = {}
-    for perm in perms:
+    for perm in wanted:
         for c in signed:
             ends.setdefault(step(perm, -c), set()).add(c)
     for prefix, perm in last:
         allowed = ends.get(perm, ())
         back = inverse[prefix[-1]] if prefix else None
         for c in signed:
-            if c in allowed and c != back and step(perm, c) in perms \
-                    and take(prefix + (c,)):
-                return found
+            if c in allowed and c != back:
+                after = step(perm, c)
+                if after in wanted and take(prefix + (c,), after):
+                    return found
     return found
+
+
+def _acts_as(rows, n, word, key):
+    """True iff the code word acts as the element whose key (_element_key) is `key`.
+
+    The key is a flat minimal portrait: class c sits at key[2nc : 2nc+2n],
+    its permutation followed by its successors' numbers, and class 0 is the
+    element itself.  The walk pairs each residual of the word with the
+    class it must equal, from (word, 0), and stops at the first
+    disagreement: a residual with another level-one image than its class,
+    or one residual reached with two classes.  A complete walk relates
+    every residual to a class with the same permutation and related
+    successors, so the word acts as class 0.  Conversely, the key's classes
+    are pairwise distinct elements, so a word of the element reaches each
+    residual with the one class that residual equals, and the walk
+    completes.
+    """
+    classes = {word: 0}
+    todo = [word]
+    for cur in todo:
+        base = 2 * n * classes[cur]
+        for x in range(n):
+            y, res = _step_word(rows, cur, x)
+            if y != key[base + x]:
+                return False
+            c = classes.get(res)
+            if c is None:
+                classes[res] = key[base + n + x]
+                todo.append(res)
+            elif c != key[base + n + x]:
+                return False
+    return True
 
 
 def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
@@ -478,10 +516,12 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     level-one permutation, the ids of its sections and the id of its
     inverse.  One partition refinement over the n elements and the n²
     products of two of them (_pair_blocks) then answers every membership
-    test of the round: each node of a residual graph carries the pair it
-    equals, and a pair is in the set when its block is, since equal
-    elements share a block.  An element adjoined in the round marks its
-    block, and its inverse's, so later tests in the round see it.
+    test of the round: each node of a residual graph carries the pair state
+    it equals, a pair is in the set when its block is, since equal
+    elements share a block, and the pair states of a node's residuals are
+    the pair's successors in the table.  An element adjoined in the round
+    marks its block, and its inverse's, so later tests in the round see it,
+    and its section ids are read from the same successors.
 
     A pair examined in one round is not examined again.  Between two pair
     examinations the set is closed under residuals and inverses, so a
@@ -489,6 +529,11 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     below it: a later graph of the pair is what is left of its first one
     once its cycles and all that they reach were adjoined, no deeper and
     with nothing to adjoin.
+
+    The last step replaces each representative whose search space is small
+    by the shortlex-first word of its element: _first_words finds them all
+    in one sweep, matching each candidate against the wanted elements'
+    keys.
     """
     if not aut.invertible:
         raise NotInvertible("nucleus needs an invertible automaton")
@@ -521,29 +566,25 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     old = 0                              # elements whose pairs were all examined
     while old < len(reps):
         n = len(reps)
-        block = _pair_blocks(perm, sec)
+        block, kids = _pair_blocks(perm, sec)
         inside = {k: k for k in range(n)}    # block in the set -> element id
-        origin = []                          # pair of each element adjoined
+        origin = []                          # pair state of each element adjoined
 
-        def kids_of(p):
-            a, b = divmod(p, n)
-            sb = sec[b]
-            return [s * n + sb[y] for s, y in zip(sec[a], perm[a])]
-
-        def add(ls, p):
-            blk = block[n + p]
+        def add(ls, q):
+            blk = block[q]
             if blk not in inside:
                 inside[blk] = len(reps)
-                origin.append(p)
+                origin.append(q)
                 grow(ls)
 
         for i in range(n):
             for j in range(old if i < old else 0, n):
-                if block[n + i * n + j] in inside:
+                q0 = n + i * n + j
+                if block[q0] in inside:
                     continue
                 w0 = _product(reps[i], reps[j])
                 # residual graph of the product outside the current set
-                pair = {w0: i * n + j}
+                pair = {w0: q0}
                 nodes = [w0]
                 node_set = {w0}
                 succ = {}
@@ -556,12 +597,12 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
                             "residual chains exceeded depth cap %d" % depth_cap)
                     nxt = []
                     for wl in frontier:
-                        succ[wl] = kids = []     # residuals outside the set
-                        for x, q in zip(letters, kids_of(pair[wl])):
-                            if block[n + q] in inside:
+                        succ[wl] = out = []      # residuals outside the set
+                        for x, q in zip(letters, kids[pair[wl]]):
+                            if block[q] in inside:
                                 continue
                             r = _step_word(rows, wl, x)[1]
-                            kids.append(r)
+                            out.append(r)
                             if r not in node_set:
                                 node_set.add(r)
                                 nodes.append(r)
@@ -569,16 +610,17 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
                                 pair[r] = q
                     frontier = nxt
                 for wl in _cycle_reachable(nodes, node_set, succ):
-                    a, b = divmod(pair[wl], n)
+                    a, b = divmod(pair[wl] - n, n)
                     add(wl, pair[wl])
-                    add(_inverse(wl), inv[b] * n + inv[a])
+                    add(_inverse(wl), n + inv[b] * n + inv[a])
 
-        for p in origin:
-            a, b = divmod(p, n)
-            perm.append(tuple(perm[b][y] for y in perm[a]))
-            sec.append(tuple(_within(inside.get(block[n + q])) for q in kids_of(p)))
+        for q in origin:
+            a, b = divmod(q - n, n)
+            perm.append(tuple(map(perm[b].__getitem__, perm[a])))
+            sec.append(tuple(_within(inside.get(block[k])) for k in kids[q]))
             inv.append(_within(inside.get(block[n + inv[b] * n + inv[a]])))
         old = n
+        del kids                         # not held while the next table is built
 
     # shortest equal word of each representative whose search space is small
     width = 2 * len(_gen_codes(aut))
@@ -610,16 +652,18 @@ def _pair_blocks(perm, sec):
     Element k has the level-one permutation perm[k] and the section ids
     sec[k].  State k < n is element k, and state n + a*n + b is the product
     of a then b: its permutation is perm[b] after perm[a], and its section
-    at x is the pair (sec[a][x], sec[b][perm[a][x]]).  mealy._refine_partition
-    merges exactly the states that act alike on the tree, so distinct
-    elements keep blocks 0..n-1, and a pair lies in block k < n exactly
-    when it equals element k.
+    at x is the pair (sec[a][x], sec[b][perm[a][x]]).  Returns (block,
+    succ): mealy._refine_partition's block of each state, and each state's
+    successor states, letter by letter, so that a caller reads a pair's
+    sections from succ.  Refinement merges exactly the states that act
+    alike on the tree, so distinct elements keep blocks 0..n-1, and a pair
+    lies in block k < n exactly when it equals element k.
     """
     n = len(perm)
     ids = {}                             # permutation -> its number
     own = [ids.setdefault(p, len(ids)) for p in perm]
     distinct = list(ids)
-    then = [[ids.setdefault(tuple(q[y] for y in p), len(ids)) for q in distinct]
+    then = [[ids.setdefault(tuple(map(q.__getitem__, p)), len(ids)) for q in distinct]
             for p in distinct]
     outputs, succ = list(own), list(sec)
     for pa, sa, oa in zip(perm, sec, own):
@@ -627,7 +671,7 @@ def _pair_blocks(perm, sec):
         row = then[oa]
         outputs += [row[ob] for ob in own]
         succ += [[t + sb[y] for t, y in zip(base, pa)] for sb in sec]
-    return _refine_partition(outputs, succ)
+    return _refine_partition(outputs, succ), succ
 
 
 def _cycle_reachable(nodes, node_set, succ):

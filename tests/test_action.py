@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -245,6 +246,31 @@ def test_one_letter_level_cap():
         stabilizes_level(one, "a", 10 ** 6 + 1)
     with pytest.raises(LevelTooLarge, match=deeper):
         iter_level_words(one, 10 ** 6 + 1)
+
+
+def test_huge_level_is_refused_with_its_digit_count(fig5):
+    # str() refuses an int of more than 4300 digits, so the messages give the count
+    with pytest.raises(LevelTooLarge, match=r"^level <5001-digit number> enumeration has "
+                                            r"6\^<5001-digit number> entries, cap is 1000000$"):
+        check_level_cap(fig5, 10 ** 5000)
+    one = build_reducible_automaton(load_action("degree 1\na: 0\n"))
+    with pytest.raises(LevelTooLarge,
+                       match="^level <5001-digit number> is deeper than the cap 1000000$"):
+        stabilizes_level(one, "a", 10 ** 5000)
+
+
+def test_one_letter_level_walk_memory_is_bounded():
+    # a one-letter frame keeps no set of the residuals it met: the walk holds
+    # a frame and a memo entry per level, well under 300 bytes each
+    one = build_reducible_automaton(load_action("degree 1\na: 0\n"))
+    k = 10 ** 5
+    tracemalloc.start()
+    try:
+        assert stabilizes_level(one, "a", k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * k
 
 
 def test_negative_level_is_refused(star):

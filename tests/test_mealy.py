@@ -238,6 +238,14 @@ def test_power_cap_is_decided_without_the_full_power(basilica):
         power(basilica, 10 ** 9)
 
 
+def test_huge_power_is_refused_with_its_digit_count(fig5):
+    # str() refuses an int of more than 4300 digits, so the messages give the count
+    with pytest.raises(BadPower, match=r"^power automaton would have 6\^<5001-digit number> states$"):
+        power(fig5, 10 ** 5000)
+    with pytest.raises(BadPower, match="^power requires an integer n >= 1, got -<5001-digit number>$"):
+        power(fig5, -10 ** 5000)
+
+
 def test_one_state_power_is_capped():
     one = make_identity_automaton()
     assert power(one, 3).states == (("id", "id", "id"),)

@@ -45,6 +45,7 @@ from selfsim.errors import NotContractingWithinCaps, SelfSimError
 from selfsim.wordproblem import (
     Nucleus,
     ReducibilityReport,
+    _acts_as,
     _cycle_reachable,
     _element_key,
     _gen_codes,
@@ -328,6 +329,58 @@ def test_first_words_match_the_shortest_reference_on_random_machines():
     rng = random.Random(31)
     for _ in range(12):
         _check_first_words(_build(_random_machine(rng)), rng, 4)
+
+
+def _check_acts_as(aut, rng, count):
+    """The walk match against key equality, over a pool of seeded words.
+
+    Each word is matched against every distinct key with its level-one
+    permutation, so most matches that fail get past the root.  Returns how
+    many matches held and how many failed.
+    """
+    gens = [s for s in aut.states if s != aut.sink]
+    letters = [(g, s) for g in gens for s in (1, -1)]
+    pool = list(_code_words(aut, 2))
+    pool += [_encode_word(aut, [rng.choice(letters) for _ in range(rng.randint(3, 8))])
+             for _ in range(count)]
+    rows, n = aut.core().rows, len(aut.alphabet)
+    by_perm = {}
+    for word in pool:
+        key = _element_key(aut, word)
+        by_perm.setdefault(key[:n], set()).add(key)
+    held = failed = 0
+    for word in pool:
+        own = _element_key(aut, word)
+        for key in by_perm[own[:n]]:
+            assert _acts_as(rows, n, word, key) == (key == own)
+            held += key == own
+            failed += key != own
+    for word in pool[-3:]:
+        found = _shortest(aut, word, 3)
+        expected = None if found is None else _decode_word(aut, found)
+        assert shortest_representative(aut, _decode_word(aut, word), 3) == expected
+    return held, failed
+
+
+@pytest.mark.parametrize("name", ["adding_machine", "basilica", "star3", "fig5_tree", "path_5"])
+def test_walk_match_holds_exactly_when_the_keys_are_equal(name):
+    held, failed = _check_acts_as(builtin_automaton(name), random.Random(name), 60)
+    assert held and failed
+
+
+def test_walk_match_holds_exactly_when_the_keys_are_equal_on_random_machines():
+    # contracting ones only: their nuclei are also checked against the reference
+    rng = random.Random(1712)
+    contracting = failed = 0
+    while contracting < 10:
+        machine = _random_machine(rng)
+        got = _outcome(nucleus, _build(machine), depth_cap=10, size_cap=40)
+        if isinstance(got[0], str):
+            continue
+        assert got == _outcome(_reference_nucleus, _build(machine), depth_cap=10, size_cap=40)
+        contracting += 1
+        failed += _check_acts_as(_build(machine), rng, 20)[1]
+    assert failed
 
 
 def test_key_memo_is_bounded(monkeypatch):
