@@ -30,7 +30,7 @@ from .errors import (
     NotInvertible,
     UnknownGenerator,
 )
-from .limits import DEFAULT_LEVEL_CAP, MEMO_LIMIT, number_text, power_exceeds
+from .limits import DEFAULT_LEVEL_CAP, MEMO_LIMIT, check_int, number_text, power_exceeds
 from .mealy import MealyAutomaton, symbol_str
 
 
@@ -284,9 +284,8 @@ def level1_permutation(aut: MealyAutomaton, w) -> dict:
 
 
 def check_level_cap(aut: MealyAutomaton, k: int, cap=None):
-    """Raise LevelTooLarge for a negative level k, or when |X|^k or k passes the cap."""
-    if k < 0:
-        raise LevelTooLarge("level must be >= 0")
+    """Raise LevelTooLarge unless k is an int >= 0 and neither |X|^k nor k passes the cap."""
+    check_int(k, 0, "level", LevelTooLarge)
     cap = DEFAULT_LEVEL_CAP if cap is None else cap
     if power_exceeds(len(aut.alphabet), k, cap):
         raise LevelTooLarge(
@@ -501,11 +500,10 @@ def _check_sweep_cap(width, branching, max_len, per_word, cap, what):
     of work for each.  Freely reduced words over letters closed under
     inverses have branching width - 1; positive words have branching width.
     The count stops at the first length past the cap, so it never costs
-    more than the sweep it guards, whatever max_len is.  A negative max_len
-    is refused, as no sweep has a meaning for it.
+    more than the sweep it guards, whatever max_len is.  A max_len that is
+    not an int >= 0 is refused, as no sweep has a meaning for it.
     """
-    if max_len < 0:
-        raise LevelTooLarge("%s length must be >= 0" % what)
+    check_int(max_len, 0, what + " length", LevelTooLarge)
     cap = DEFAULT_LEVEL_CAP if cap is None else cap
     total, count = 0, width
     for _ in range(max_len):
@@ -526,8 +524,7 @@ def iter_reduced_words(generators, max_len: int, include_empty: bool = True):
     _hit_sweep with no value and a hit that is always true.  A negative
     max_len is refused, as for the sweeps.
     """
-    if max_len < 0:
-        raise LevelTooLarge("reduced word length must be >= 0")
+    check_int(max_len, 0, "reduced word length", LevelTooLarge)
     letters = [(g, s) for g in generators for s in (1, -1)]
     inverse = {(g, s): (g, -s) for g, s in letters}
     sweep = _hit_sweep(letters, inverse, max_len, None, lambda value, lt: None,

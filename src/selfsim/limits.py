@@ -57,6 +57,14 @@ def number_text(value) -> str:
     return "%s<%d-digit number>" % ("-" if value < 0 else "", digits)
 
 
+def check_int(value, least, what, error):
+    """Raise `error` unless value is an int, not a bool, and at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error("%s must be an integer, got %s" % (what, number_text(value)))
+    if value < least:
+        raise error("%s must be >= %d" % (what, least))
+
+
 def positive_int(text) -> int:
     """A cap value: a positive integer, else ValueError."""
     value = int(text)

@@ -310,7 +310,7 @@ def enriched_dual(aut: MealyAutomaton) -> MealyAutomaton:
 
 def power(aut: MealyAutomaton, n: int) -> MealyAutomaton:
     """n-th power: states are n-tuples, the first coordinate consumes the input first."""
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise BadPower("power requires an integer n >= 1, got %s" % number_text(n))
     if power_exceeds(len(aut.states), n, MAX_POWER_STATES):
         raise BadPower("power automaton would have %d^%s states"

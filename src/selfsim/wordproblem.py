@@ -41,13 +41,13 @@ from .errors import (
     NotInvertible,
     QuotientTooLarge,
     RaggedTuples,
-    SelfSimError,
 )
 from .limits import (
     DEFAULT_NUCLEUS_DEPTH,
     DEFAULT_NUCLEUS_SIZE,
     DEFAULT_QUOTIENT_CAP,
     MEMO_LIMIT,
+    check_int,
 )
 from .mealy import MealyAutomaton, _cyclic_components, _refine_partition
 
@@ -201,8 +201,7 @@ def fragile_member(aut: MealyAutomaton, w, k: int, cap=None) -> bool:
     Checking depth exactly k suffices: residuals of freely trivial words are
     freely trivial.
     """
-    if k < 1:
-        raise LevelTooLarge("membership level must be >= 1")
+    check_int(k, 1, "membership level", LevelTooLarge)
     check_level_cap(aut, k, cap)
     return _level_walk(aut, _encode_word(aut, w), k, True)
 
@@ -210,16 +209,17 @@ def fragile_member(aut: MealyAutomaton, w, k: int, cap=None) -> bool:
 def fragile_index(aut: MealyAutomaton, w, kmax: int, cap=None):
     """Least k <= kmax with fragile_member true, or None.
 
-    Every positive answer is re-checked at k + 1 (memberships are nested),
-    when k + 1 fits under the enumeration cap.
+    Levels 1, 2, ... are walked up to the first member and no further: a
+    member of level k fixes level k + 1, and its residuals there are those
+    of empty words.  The cap is checked before each level walked, so
+    LevelTooLarge names the first level over it, when none below is a member.
     """
     return _fragile_index(aut, _fragile_word(aut, w, kmax, cap), kmax, cap)
 
 
 def _fragile_word(aut, w, kmax, cap):
     """Code word of w, after the checks that come before the first level."""
-    if kmax < 1:
-        raise LevelTooLarge("kmax must be >= 1")
+    check_int(kmax, 1, "kmax", LevelTooLarge)
     check_level_cap(aut, 1, cap)
     return _encode_word(aut, w)
 
@@ -228,14 +228,6 @@ def _fragile_index(aut, word, kmax, cap):
     for k in range(1, kmax + 1):
         check_level_cap(aut, k, cap)
         if _level_walk(aut, word, k, True):
-            try:
-                check_level_cap(aut, k + 1, cap)
-                monotone = _level_walk(aut, word, k + 1, True)
-            except LevelTooLarge:
-                monotone = True
-            if not monotone:
-                raise SelfSimError(
-                    "membership at level %d did not persist at level %d" % (k, k + 1))
             return k
     return None
 
@@ -280,8 +272,7 @@ def virtual_endo(aut: MealyAutomaton, u, w) -> GroupWord:
 
 def embed_in_product(aut: MealyAutomaton, w, k: int, cap=None):
     """All level-k residual components, as a dict keyed by the level word."""
-    if k < 1:
-        raise LevelTooLarge("embedding level must be >= 1")
+    check_int(k, 1, "embedding level", LevelTooLarge)
     check_level_cap(aut, k, cap)
     word = _encode_word(aut, w)
     _require_stabilizes(aut, word, k, cap)
@@ -357,6 +348,7 @@ def shortest_representative(aut: MealyAutomaton, w, max_len: int, cap=None):
     if not aut.invertible:
         raise NotInvertible("shortest representative needs an invertible automaton")
     word = _encode_word(aut, w)
+    check_int(max_len, 0, "representative search length", LevelTooLarge)
     max_len = min(max_len, len(word))
     width = 2 * len(_gen_codes(aut))
     _check_sweep_cap(width, width - 1, max_len, 1, cap, "representative search")

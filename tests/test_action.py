@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -9,19 +10,27 @@ from selfsim import (
     apply_word,
     build_reducible_automaton,
     builtin,
+    builtin_automaton,
+    check_reducible,
     commutator,
     dual_path,
+    embed_in_product,
     erase_id,
     find_noose,
     format_word,
+    fragile_index,
+    fragile_member,
     level1_permutation,
     load_action,
     loops_at,
     parse_word,
+    power,
     reduce_word,
     restrict_word,
+    shortest_representative,
     stabilizes_level,
     transposition_word,
+    wp_fragile,
     wreath,
 )
 from selfsim.action import (
@@ -32,6 +41,7 @@ from selfsim.action import (
 )
 from selfsim.errors import (
     AlphabetMismatch,
+    BadPower,
     Disconnected,
     LevelTooLarge,
     UnknownGenerator,
@@ -282,6 +292,40 @@ def test_negative_level_is_refused(star):
         iter_level_words(star, -1)
     with pytest.raises(LevelTooLarge, match="^level must be >= 0$"):
         check_level_cap(star, -2)
+
+
+@pytest.mark.parametrize("error,message,call", [
+    (LevelTooLarge, "level must be an integer, got 2.0",
+     lambda aut: check_level_cap(aut, 2.0)),
+    (LevelTooLarge, "level must be an integer, got 2.0",
+     lambda aut: stabilizes_level(aut, "a", 2.0)),
+    (LevelTooLarge, "level must be an integer, got '2'",
+     lambda aut: stabilizes_level(aut, "a", "2")),
+    (LevelTooLarge, "membership level must be an integer, got 2.0",
+     lambda aut: fragile_member(aut, "a a^-1", 2.0)),
+    (LevelTooLarge, "kmax must be an integer, got 2.5",
+     lambda aut: fragile_index(aut, "a a^-1", 2.5)),
+    (LevelTooLarge, "kmax must be an integer, got True",
+     lambda aut: wp_fragile(aut, "a", True)),
+    (LevelTooLarge, "embedding level must be an integer, got 2.0",
+     lambda aut: embed_in_product(aut, "a a^-1", 2.0)),
+    (LevelTooLarge, "reducibility scan length must be an integer, got 2.0",
+     lambda aut: check_reducible(aut, 2.0, 8)),
+    (LevelTooLarge, "representative search length must be an integer, got '2'",
+     lambda aut: shortest_representative(aut, "a b", "2")),
+    (LevelTooLarge, "reduced word length must be an integer, got 2.0",
+     lambda aut: iter_reduced_words(["a"], 2.0)),
+    (BadPower, "power requires an integer n >= 1, got True",
+     lambda aut: power(aut, True)),
+], ids=["level-cap", "stabilizes", "stabilizes-str", "member", "index", "wp-fragile",
+        "embed", "reducible", "representative", "reduced-words", "power"])
+def test_non_integer_level_is_refused(error, message, call):
+    # a float or bool would otherwise be walked as the int it resembles, and a
+    # string would raise a bare TypeError; each is refused before any walk
+    aut = builtin_automaton("star3")
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        call(aut)
+    assert not {"stab", "fragile"} & set(aut._cache)
 
 
 # -- level-one permutations ----------------------------------------------------------

@@ -120,6 +120,10 @@ CASES = [
     ("nucleus-cycle6", ["nucleus", "--builtin", "cycle_6"], 0),
     ("check-reducible-negative-length",
      ["check-reducible", "--builtin", "star3", "--max-len", "-1", "--max-depth", "8"], 1),
+    ("wp-fragile-level-cap",
+     ["wp", "--builtin", "fig5_tree", "-w", "e1 e2", "--method", "fragile", "--kmax", "8"], 1),
+    ("wp-fragile-before-cap",
+     ["wp", "--builtin", "fig5_tree", "-w", FIG5_COMM, "--method", "fragile", "--kmax", "8"], 0),
 ]
 
 

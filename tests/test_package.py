@@ -4,6 +4,7 @@ The import-footprint checks run in fresh interpreters (``-S``, so no site
 hook imports anything), because the test process has loaded every module.
 """
 
+import ast
 import importlib
 import os
 import pathlib
@@ -86,3 +87,21 @@ def test_submodules_resolve_after_a_bare_import():
                 "selfsim.wordproblem.MEMO_LIMIT == selfsim.limits.MEMO_LIMIT, "
                 "selfsim.nucleus is sys.modules['selfsim.wordproblem'].nucleus)")
     assert out.split() == ["True", "True", "True"]
+
+
+def unused_imports(source):
+    """Names a module imports but never reads, by walking its syntax tree."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_every_import_is_used():
+    # the package imports SelfSimError only to re-export it
+    assert unused_imports("from .errors import A, B\nimport os.path\nB\n") == {"A", "os"}
+    for path in sorted((SRC / "selfsim").glob("*.py")):
+        exempt = {"SelfSimError"} if path.name == "__init__.py" else set()
+        assert unused_imports(path.read_text()) - exempt == set(), path.name

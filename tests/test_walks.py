@@ -16,7 +16,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from selfsim import builtin_automaton
 from selfsim.action import (
@@ -44,6 +44,7 @@ from selfsim.tracemonoid import (
 from selfsim.wordproblem import (
     _closure_scan,
     elements_equal,
+    fragile_index,
     fragile_member,
     is_identity,
     wp_fragile,
@@ -52,6 +53,11 @@ from selfsim.wordproblem import (
 # fixture name -> deepest level enumerated by brute force
 LEVELS = {"star3": 3, "fig5_tree": 2, "basilica": 5, "adding_machine": 5}
 AUTOMATA = {name: builtin_automaton(name) for name in LEVELS}
+
+# identities whose least membership level is 1, 2 and 3
+FIG5_LEVEL_1 = "e2 e4 e2^-1 e4^-1"
+BASILICA_LEVEL_2 = "a a b a a b^-1 a^-1 a^-1 b a^-1 a^-1 b^-1"
+BASILICA_LEVEL_3 = "a b b a^-1 a^-1 b b a a b^-1 b^-1 a^-1 a^-1 b^-1 b^-1 a"
 
 
 def _words(name):
@@ -67,16 +73,48 @@ def _cases(draw):
     return name, draw(_words(name)), draw(st.integers(1, LEVELS[name]))
 
 
+def _enumerated(aut, word, k):
+    """(fixes level k, member of level k), by listing the level."""
+    level = list(iter_level_words(aut, k))
+    stabilizes = all(apply_word(aut, word, u) == u for u in level)
+    return stabilizes, stabilizes and all(restrict_word(aut, word, u).is_empty() for u in level)
+
+
 @settings(max_examples=300)
 @given(_cases())
+@example(("basilica", BASILICA_LEVEL_2, 2))
+@example(("basilica", BASILICA_LEVEL_3, 3))
 def test_level_walk_matches_enumeration(case):
     name, word, k = case
     aut = AUTOMATA[name]
-    level = list(iter_level_words(aut, k))
-    stabilizes = all(apply_word(aut, word, u) == u for u in level)
+    stabilizes, member = _enumerated(aut, word, k)
     assert stabilizes_level(aut, word, k) == stabilizes
-    member = stabilizes and all(restrict_word(aut, word, u).is_empty() for u in level)
     assert fragile_member(aut, word, k) == member
+    # memberships are nested, so the level method stops at the least member
+    top = LEVELS[name]
+    members = [fragile_member(aut, word, j) for j in range(1, top + 1)]
+    assert all(later for earlier, later in zip(members, members[1:]) if earlier)
+    least = next((j for j in range(1, top + 1) if _enumerated(aut, word, j)[1]), None)
+    assert fragile_index(aut, word, top) == least
+
+
+@pytest.mark.parametrize("name,word,least", [
+    ("fig5_tree", FIG5_LEVEL_1, 1),
+    ("basilica", BASILICA_LEVEL_2, 2),
+    ("basilica", BASILICA_LEVEL_3, 3),
+], ids=["fig5-level-1", "basilica-level-2", "basilica-level-3"])
+def test_level_method_walks_no_level_past_the_answer(monkeypatch, name, word, least):
+    import selfsim.wordproblem
+    walk, levels = selfsim.wordproblem._level_walk, []
+
+    def counted(aut, code, k, empty_leaves):
+        levels.append(k)
+        return walk(aut, code, k, empty_leaves)
+    monkeypatch.setattr(selfsim.wordproblem, "_level_walk", counted)
+    aut = builtin_automaton(name)
+    assert fragile_index(aut, word, 8) == least
+    assert wp_fragile(aut, word, 8) == ("Identity", None, (least,), "fragile")
+    assert levels == list(range(1, least + 1)) * 2
 
 
 def _one_letter_machine():
