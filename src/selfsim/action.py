@@ -284,9 +284,15 @@ def level1_permutation(aut: MealyAutomaton, w) -> dict:
 
 
 def check_level_cap(aut: MealyAutomaton, k: int, cap=None):
-    """Raise LevelTooLarge unless k is an int >= 0 and neither |X|^k nor k passes the cap."""
+    """Raise LevelTooLarge unless k is an int >= 0 and neither |X|^k nor k passes the cap.
+
+    The cap must be an int; any int is taken as given.
+    """
     check_int(k, 0, "level", LevelTooLarge)
-    cap = DEFAULT_LEVEL_CAP if cap is None else cap
+    if cap is None:
+        cap = DEFAULT_LEVEL_CAP
+    else:
+        check_int(cap, None, "level cap", LevelTooLarge)
     if power_exceeds(len(aut.alphabet), k, cap):
         raise LevelTooLarge(
             "level %s enumeration has %d^%s entries, cap is %s"
@@ -396,17 +402,19 @@ def _hit_sweep(letters, inverse, max_len, start, step, hit):
     letter), and there are far fewer states than words.  One breadth-first
     walk numbers the states that words of length <= max_len reach,
     computing each state's step once per letter that may follow it, and
-    asks `hit` once per state.  One backward breadth-first walk from the
-    hit states gives each state the fewest letters that still reach a hit.
-    The words are then listed level by level, and a prefix is kept only
-    while a hit lies within the letters left; when nothing hits, or
-    max_len <= 0, no word is listed.  Values must be hashable.  States are
-    numbered in the order they are found and kept in lists, so the listing
-    does not depend on hashing.
+    asks `hit` once per state.  When no state hits (or max_len <= 0) the
+    sweep ends there and lists no word.  When some states hit and others
+    do not, one backward breadth-first walk from the hit states
+    (_hit_distances) gives each state the fewest letters that still reach
+    a hit; when every state but the root hits, each of those counts is 0
+    and no backward walk is made.  The words are then listed level by
+    level, and a prefix is kept only while a hit lies within the letters
+    left.  Values must be hashable.  States are numbered in the order they
+    are found and kept in lists, so the listing does not depend on hashing.
     """
     after = {lt: [c for c in letters if c != inverse[lt]] for lt in letters}
     after[None] = letters
-    number = {(start, None): 0}
+    found = {lt: {} for lt in letters}   # found[lt][value]: the state (value, lt)
     values, lasts, hits = [start], [None], [False]
     succ = []                       # succ[i]: the states after state i, in the order of after[...]
     frontier = [0]
@@ -415,35 +423,28 @@ def _hit_sweep(letters, inverse, max_len, start, step, hit):
         for i in frontier:
             value, kids = values[i], []
             for lt in after[lasts[i]]:
-                key = (step(value, lt), lt)
-                j = number.get(key)
+                nxt = step(value, lt)
+                seen = found[lt]
+                j = seen.get(nxt)
                 if j is None:
-                    j = number[key] = len(values)
-                    values.append(key[0])
+                    j = seen[nxt] = len(values)
+                    values.append(nxt)
                     lasts.append(lt)
-                    hits.append(hit(key[0]))
+                    hits.append(hit(nxt))
                     fresh.append(j)
                 kids.append(j)
             succ.append(kids)
         frontier = fresh
-    # letters from each state to its nearest hit, itself included
-    far = max_len + 1
-    dist = [0 if h else far for h in hits]
-    preds = [[] for _ in values]
-    for i, kids in enumerate(succ):
-        for j in kids:
-            preds[j].append(i)
-    queue = [j for j, h in enumerate(hits) if h]
-    for j in queue:
-        d = dist[j] + 1
-        for i in preds[j]:
-            if dist[i] == far:
-                dist[i] = d
-                queue.append(i)
+    if not any(hits):
+        return
+    if all(itertools.islice(hits, 1, None)):
+        dist = [0] * len(hits)
+    else:
+        dist = _hit_distances(succ, hits, max_len)
     # letters from each state with successors to the nearest hit past it;
     # states first reached at the last level have no entry
-    ahead = [1 + min(map(dist.__getitem__, kids), default=far) for kids in succ]
-    level = [((), 0)] if max_len > 0 and ahead[0] <= max_len else []
+    ahead = [1 + min(map(dist.__getitem__, kids), default=max_len) for kids in succ]
+    level = [((), 0)] if ahead[0] <= max_len else []
     for n in range(1, max_len + 1):
         left = max_len - n
         fresh = []
@@ -455,6 +456,29 @@ def _hit_sweep(letters, inverse, max_len, start, step, hit):
                 if left and ahead[j] <= left:
                     fresh.append((longer, j))
         level = fresh
+
+
+def _hit_distances(succ, hits, max_len):
+    """Fewest letters from each state to a hit state, itself included.
+
+    One backward breadth-first walk from the hit states over the successor
+    lists of _hit_sweep's forward walk; a state with no hit within max_len
+    letters gets max_len + 1.
+    """
+    far = max_len + 1
+    dist = [0 if h else far for h in hits]
+    preds = [[] for _ in hits]
+    for i, kids in enumerate(succ):
+        for j in kids:
+            preds[j].append(i)
+    queue = [j for j, h in enumerate(hits) if h]
+    for j in queue:
+        d = dist[j] + 1
+        for i in preds[j]:
+            if dist[i] == far:
+                dist[i] = d
+                queue.append(i)
+    return dist
 
 
 def _sweep_count(width, max_len):
@@ -501,10 +525,14 @@ def _check_sweep_cap(width, branching, max_len, per_word, cap, what):
     inverses have branching width - 1; positive words have branching width.
     The count stops at the first length past the cap, so it never costs
     more than the sweep it guards, whatever max_len is.  A max_len that is
-    not an int >= 0 is refused, as no sweep has a meaning for it.
+    not an int >= 0 is refused, as no sweep has a meaning for it, and so
+    is a cap that is not an int.
     """
     check_int(max_len, 0, what + " length", LevelTooLarge)
-    cap = DEFAULT_LEVEL_CAP if cap is None else cap
+    if cap is None:
+        cap = DEFAULT_LEVEL_CAP
+    else:
+        check_int(cap, None, "level cap", LevelTooLarge)
     total, count = 0, width
     for _ in range(max_len):
         if not count or total * per_word > cap:

@@ -58,10 +58,13 @@ def number_text(value) -> str:
 
 
 def check_int(value, least, what, error):
-    """Raise `error` unless value is an int, not a bool, and at least `least`."""
+    """Raise `error` unless value is an int, not a bool, and at least `least`.
+
+    With `least` None only the type is checked.
+    """
     if isinstance(value, bool) or not isinstance(value, int):
         raise error("%s must be an integer, got %s" % (what, number_text(value)))
-    if value < least:
+    if least is not None and value < least:
         raise error("%s must be >= %d" % (what, least))
 
 

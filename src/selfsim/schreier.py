@@ -199,7 +199,9 @@ def verify_loop_shortening(aut: MealyAutomaton, max_len: int, cap=None) -> LoopR
     end of the word's walk, or 0 once the walk erased an output letter.
     action._hit_sweep lists only the words whose walk closes at some
     vertex, in sweep order, from the finite graph of (value, last letter)
-    states; words_checked still counts every walk of the sweep.
+    states; words_checked still counts every walk of the sweep.  The
+    sweep's forward walk always runs, and its backward walk only when some
+    states hit and others do not: a Pass costs one forward walk.
     """
     if not aut.invertible:
         raise NotInvertible("enriched dual requires an invertible automaton")

@@ -531,6 +531,8 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
         raise NotInvertible("nucleus needs an invertible automaton")
     depth_cap = DEFAULT_NUCLEUS_DEPTH if depth_cap is None else depth_cap
     size_cap = DEFAULT_NUCLEUS_SIZE if size_cap is None else size_cap
+    check_int(depth_cap, None, "nucleus depth cap", NotContractingWithinCaps)
+    check_int(size_cap, None, "nucleus size cap", NotContractingWithinCaps)
     rows, letters = aut.core().rows, range(len(aut.alphabet))
 
     reps = []
@@ -724,10 +726,13 @@ def check_reducible(aut: MealyAutomaton, max_len: int, max_depth: int,
     order, from the finite graph of (value, last letter) states, so the
     work is bounded by the states, not by the words; words_scanned still
     counts the words of the sweep up to the verdict, through
-    action._sweep_rank and action._sweep_count.
+    action._sweep_rank and action._sweep_count.  The sweep's forward walk
+    always runs, and its backward walk only when some states hit and others
+    do not: a scan in which no word is walked costs one forward walk.
     """
     if not aut.invertible:
         raise NotInvertible("reducibility scan needs an invertible automaton")
+    check_int(max_depth, None, "chain depth", LevelTooLarge)
     codes = _gen_codes(aut)
     width = 2 * len(codes)
     _check_sweep_cap(width, width - 1, max_len, 1, cap, "reducibility scan")
@@ -833,6 +838,7 @@ def sym_quotient_order(aut: MealyAutomaton, cap=None) -> int:
     if not aut.invertible:
         raise NotInvertible("level-one quotient needs an invertible automaton")
     cap = DEFAULT_QUOTIENT_CAP if cap is None else cap
+    check_int(cap, None, "quotient cap", QuotientTooLarge)
     n = len(aut.alphabet)
     if n > cap:
         raise QuotientTooLarge(

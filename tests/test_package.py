@@ -2,14 +2,18 @@
 
 The import-footprint checks run in fresh interpreters (``-S``, so no site
 hook imports anything), because the test process has loaded every module.
+Every public function with a cap or a depth refuses one that is not an int.
 """
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import selfsim
 
@@ -105,3 +109,43 @@ def test_every_import_is_used():
     for path in sorted((SRC / "selfsim").glob("*.py")):
         exempt = {"SelfSimError"} if path.name == "__init__.py" else set()
         assert unused_imports(path.read_text()) - exempt == set(), path.name
+
+
+# valid arguments of every public entry point that takes a cap or a depth; each
+# such parameter in turn gets a value that is not an int
+CAPPED = {
+    "stabilizes_level": ("star3", {"w": "a", "k": 2}),
+    "check_reducible": ("star3", {"max_len": 2, "max_depth": 8}),
+    "embed_in_product": ("star3", {"w": "a a^-1", "k": 1}),
+    "fragile_index": ("star3", {"w": "a", "kmax": 3}),
+    "fragile_member": ("star3", {"w": "a", "k": 2}),
+    "is_identity_in_Gk": ("star3", {"w": "a", "k": 2}),
+    "nucleus": ("star3", {}),
+    "shortest_representative": ("star3", {"w": "a b", "max_len": 3}),
+    "sym_quotient_order": ("star3", {}),
+    "wp_fragile": ("star3", {"w": "a", "kmax": 3}),
+    "check_acyclic_no_positive_identity": ("triangle_acyclic", {"max_len": 2}),
+    "verify_loop_shortening": ("star3", {"max_len": 3}),
+}
+
+
+def cap_parameters(fn):
+    return [name for name in inspect.signature(fn).parameters
+            if name == "cap" or name.endswith("_cap") or name == "max_depth"]
+
+
+def test_every_cap_and_depth_must_be_an_int():
+    # a new entry point with a cap has to join CAPPED on purpose; the public
+    # classes take no cap, and some have no signature to read
+    functions = [name for name in selfsim.__all__ if inspect.isfunction(getattr(selfsim, name))]
+    capped = {name for name in functions if cap_parameters(getattr(selfsim, name))}
+    assert capped == set(CAPPED)
+    for name, (machine, args) in CAPPED.items():
+        fn = getattr(selfsim, name)
+        fn(selfsim.builtin_automaton(machine), **args)
+        for param in cap_parameters(fn):
+            for bad in (2.0, "8", True):
+                aut = selfsim.builtin_automaton(machine)
+                with pytest.raises(selfsim.SelfSimError, match="must be an integer, got "):
+                    fn(aut, **dict(args, **{param: bad}))
+                assert aut._cache == {}, (name, param, bad)

@@ -7,7 +7,10 @@ the whole word, and nothing for a length of 0 or less; `iter_reduced_words`
 is that listing with the empty word in front.  With any other hit it must
 list exactly the reference items whose value is a hit, in reference order,
 and `_sweep_count` and `_sweep_rank` must give the reference's length and
-each word's place in it.
+each word's place in it.  Its forward walk must step exactly the (value,
+last letter) states of a reference breadth-first walk, in the same order,
+and its backward walk must run only when some states hit and others do not,
+so a passing loop or reducibility scan makes none.
 The loop-shortening scan carries one end vertex per start vertex through
 the hit sweep and must equal the per-word walk over the enriched dual it
 replaced, kept below as the reference, and the positive-word scan streams
@@ -22,6 +25,7 @@ import random
 
 import pytest
 
+import selfsim.action
 from selfsim import (
     builtin_automaton,
     check_acyclic_no_positive_identity,
@@ -103,6 +107,48 @@ def _random_table(rng, letters):
     return lambda value, lt: table[value, lt]
 
 
+def _reference_walk(letters, inverse, max_len, start, step):
+    """(steps, values): the work of a breadth-first walk of (value, last letter) states.
+
+    `steps` lists one (value, letter) pair per state reached before the last
+    level and letter allowed after it, and `values` the value of each state
+    other than the root, both in the order the walk meets them.
+    """
+    seen = {(start, None)}
+    level = [(start, None)]
+    steps, values = [], []
+    for _ in range(max_len):
+        fresh = []
+        for value, last in level:
+            for lt in letters:
+                if last is not None and lt == inverse[last]:
+                    continue
+                steps.append((value, lt))
+                state = (step(value, lt), lt)
+                if state not in seen:
+                    seen.add(state)
+                    values.append(state[0])
+                    fresh.append(state)
+        level = fresh
+    return steps, values
+
+
+def _counted_sweep(letters, inverse, max_len, start, step, hit):
+    """The listing of _hit_sweep, and the arguments of its step and hit calls."""
+    steps, asked = [], []
+
+    def counted_step(value, lt):
+        steps.append((value, lt))
+        return step(value, lt)
+
+    def counted_hit(value):
+        asked.append(value)
+        return hit(value)
+
+    listed = list(_hit_sweep(letters, inverse, max_len, start, counted_step, counted_hit))
+    return listed, steps, asked
+
+
 def test_hit_sweep_lists_the_sweep_items_that_hit():
     rng = random.Random(1313)
     kinds = set()
@@ -121,9 +167,12 @@ def test_hit_sweep_lists_the_sweep_items_that_hit():
             # values that only words of the longest length reach
             "last level": lambda value: value not in shorter,
         }
+        walk = _reference_walk(letters, inverse, max_len, 0, step)
         for kind, hit in hits.items():
             expected = [item for item in swept if hit(item[1])]
-            assert list(_hit_sweep(letters, inverse, max_len, 0, step, hit)) == expected
+            # one dict per last letter must neither step a state twice nor merge two
+            listed, steps, asked = _counted_sweep(letters, inverse, max_len, 0, step, hit)
+            assert (listed, (steps, asked)) == (expected, walk)
             if kind == "last level" and expected:
                 kinds.add(kind)
                 assert all(len(word) == max_len for word, _ in expected)
@@ -132,16 +181,53 @@ def test_hit_sweep_lists_the_sweep_items_that_hit():
 
 def test_hit_sweep_steps_each_state_once_per_letter():
     letters, inverse = _signed_codes([1, 2])
-    calls = []
 
     def step(value, lt):
-        calls.append((value, lt))
         return (value + lt) % 3
 
-    listed = list(_hit_sweep(letters, inverse, 8, 0, step, lambda value: value == 2))
-    assert len(calls) <= (3 * 4 + 1) * 4 < _sweep_count(4, 8)
+    listed, steps, asked = _counted_sweep(letters, inverse, 8, 0, step, lambda value: value == 2)
+    assert (steps, asked) == _reference_walk(letters, inverse, 8, 0, step)
+    assert len(steps) <= (3 * 4 + 1) * 4 < _sweep_count(4, 8)
     assert listed == [item for item in _reference_items(letters, inverse, 8, 0, step)
                       if item[1] == 2]
+
+
+# -- the backward walk runs only when some states hit and others do not --------------
+
+@pytest.fixture
+def distance_calls(monkeypatch):
+    """The arguments of each backward walk (_hit_distances) made during the test."""
+    calls = []
+    real = selfsim.action._hit_distances
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(selfsim.action, "_hit_distances", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind,walks", [("none", 0), ("all", 0), ("some", 1)])
+def test_backward_walk_runs_only_for_a_mixed_sweep(distance_calls, kind, walks):
+    letters, inverse = _signed_codes([1, 2])
+
+    def step(value, lt):
+        return (value + lt) % 3
+
+    hit = {"none": lambda value: False, "all": _always, "some": lambda value: value == 2}[kind]
+    expected = [item for item in _reference_items(letters, inverse, 6, 0, step) if hit(item[1])]
+    assert list(_hit_sweep(letters, inverse, 6, 0, step, hit)) == expected
+    assert bool(expected) == (kind != "none")
+    assert len(distance_calls) == walks
+
+
+def test_passing_scans_make_no_backward_walk(distance_calls, fig5):
+    aut = build_reducible_automaton(
+        FiniteAction(["a", "b"], 5, {"a": (1, 2, 3, 4, 0), "b": (1, 0, 2, 3, 4)}))
+    assert verify_loop_shortening(aut, 6).status == "Pass"
+    assert check_reducible(fig5, 4, 8).status == "Pass"
+    assert distance_calls == []
 
 
 @pytest.mark.parametrize("codes", [[], [1], [1, 2], [1, 2, 3]])
