@@ -286,13 +286,13 @@ def level1_permutation(aut: MealyAutomaton, w) -> dict:
 def check_level_cap(aut: MealyAutomaton, k: int, cap=None):
     """Raise LevelTooLarge unless k is an int >= 0 and neither |X|^k nor k passes the cap.
 
-    The cap must be an int; any int is taken as given.
+    The cap must be an int >= 1.
     """
     check_int(k, 0, "level", LevelTooLarge)
     if cap is None:
         cap = DEFAULT_LEVEL_CAP
     else:
-        check_int(cap, None, "level cap", LevelTooLarge)
+        check_int(cap, 1, "level cap", LevelTooLarge)
     if power_exceeds(len(aut.alphabet), k, cap):
         raise LevelTooLarge(
             "level %s enumeration has %d^%s entries, cap is %s"
@@ -526,13 +526,13 @@ def _check_sweep_cap(width, branching, max_len, per_word, cap, what):
     The count stops at the first length past the cap, so it never costs
     more than the sweep it guards, whatever max_len is.  A max_len that is
     not an int >= 0 is refused, as no sweep has a meaning for it, and so
-    is a cap that is not an int.
+    is a cap that is not an int >= 1.
     """
     check_int(max_len, 0, what + " length", LevelTooLarge)
     if cap is None:
         cap = DEFAULT_LEVEL_CAP
     else:
-        check_int(cap, None, "level cap", LevelTooLarge)
+        check_int(cap, 1, "level cap", LevelTooLarge)
     total, count = 0, width
     for _ in range(max_len):
         if not count or total * per_word > cap:

@@ -10,7 +10,7 @@ MAX_POWER_STATES are plain constants with no SELFSIM_CAPS key; MEMO_LIMIT
 bounds each memo a machine keeps: the closure verdicts of the words that
 fix level one (`wp`; a word that moves a letter is never stored), the shared
 NonIdentity verdicts, one per witness (`moved`), the level walks (`stab`,
-`fragile`) and the nucleus element keys (`key`).
+`fragile`) and the element keys of `shortest_representative` (`key`).
 """
 
 import os

@@ -504,16 +504,15 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     first occurrence, are the first element ids, and the first word of each
     block is its representative.
 
-    Each round numbers the set's elements 0..n-1 and keeps, for each, its
-    level-one permutation, the ids of its sections and the id of its
-    inverse.  One partition refinement over the n elements and the n²
-    products of two of them (_pair_blocks) then answers every membership
-    test of the round: each node of a residual graph carries the pair state
-    it equals, a pair is in the set when its block is, since equal
-    elements share a block, and the pair states of a node's residuals are
-    the pair's successors in the table.  An element adjoined in the round
-    marks its block, and its inverse's, so later tests in the round see it,
-    and its section ids are read from the same successors.
+    The set is an element table (_Elements): for each id, its level-one
+    permutation, the ids of its sections and the id of its inverse.  Each
+    round examines the products of two of the round's first n elements.  A
+    node of a residual graph carries the pair (a, b) of elements it equals,
+    the pairs of its residuals are read from the table, and the table says
+    which element, if any, a pair equals; a residual is formed as a word
+    only when its pair is outside the set.  The recurring nodes of a graph
+    are adjoined at once, with their inverse words (_Elements.adjoin), so
+    later tests in the round see them.
 
     A pair examined in one round is not examined again.  Between two pair
     examinations the set is closed under residuals and inverses, so a
@@ -525,14 +524,14 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     The last step replaces each representative whose search space is small
     by the shortlex-first word of its element: _first_words finds them all
     in one sweep, matching each candidate against the wanted elements'
-    keys.
+    keys, which are read from the table (_Elements.key).
     """
     if not aut.invertible:
         raise NotInvertible("nucleus needs an invertible automaton")
     depth_cap = DEFAULT_NUCLEUS_DEPTH if depth_cap is None else depth_cap
     size_cap = DEFAULT_NUCLEUS_SIZE if size_cap is None else size_cap
-    check_int(depth_cap, None, "nucleus depth cap", NotContractingWithinCaps)
-    check_int(size_cap, None, "nucleus size cap", NotContractingWithinCaps)
+    check_int(depth_cap, 1, "nucleus depth cap", NotContractingWithinCaps)
+    check_int(size_cap, 1, "nucleus size cap", NotContractingWithinCaps)
     rows, letters = aut.core().rows, range(len(aut.alphabet))
 
     reps = []
@@ -549,36 +548,24 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     _, closure, perms, succ = _closure_scan(aut, [()] + seeds, False)
     block = _refine_partition(perms, succ)
     index = {ls: i for i, ls in enumerate(closure)}
-    perm, sec, inv = [], [], []          # level-one permutation, section ids, inverse id
+    table = _Elements()
     for i, b in enumerate(block):
         if b == len(reps):
             grow(closure[i])
-            perm.append(perms[i])
-            sec.append(tuple(block[j] for j in succ[i]))
-            inv.append(block[index[_inverse(closure[i])]])
+            table.append(perms[i], tuple(block[j] for j in succ[i]),
+                         block[index[_inverse(closure[i])]])
+    perm, sec, find, known = table.perm, table.sec, table.find, table.equal.get
 
     old = 0                              # elements whose pairs were all examined
     while old < len(reps):
         n = len(reps)
-        block, kids = _pair_blocks(perm, sec)
-        inside = {k: k for k in range(n)}    # block in the set -> element id
-        origin = []                          # pair state of each element adjoined
-
-        def add(ls, q):
-            blk = block[q]
-            if blk not in inside:
-                inside[blk] = len(reps)
-                origin.append(q)
-                grow(ls)
-
         for i in range(n):
             for j in range(old if i < old else 0, n):
-                q0 = n + i * n + j
-                if block[q0] in inside:
+                if find((i, j)) is not None:
                     continue
                 w0 = _product(reps[i], reps[j])
                 # residual graph of the product outside the current set
-                pair = {w0: q0}
+                pair = {w0: (i, j)}
                 nodes = [w0]
                 node_set = {w0}
                 succ = {}
@@ -591,9 +578,13 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
                             "residual chains exceeded depth cap %d" % depth_cap)
                     nxt = []
                     for wl in frontier:
+                        a, b = pair[wl]
+                        pa, sa, sb = perm[a], sec[a], sec[b]
                         succ[wl] = out = []      # residuals outside the set
-                        for x, q in zip(letters, kids[pair[wl]]):
-                            if block[q] in inside:
+                        for x in letters:
+                            q = sa[x], sb[pa[x]]
+                            # most pairs were met before: a lookup spares the call
+                            if known(q) is not None or find(q) is not None:
                                 continue
                             r = _step_word(rows, wl, x)[1]
                             out.append(r)
@@ -603,22 +594,15 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
                                 nxt.append(r)
                                 pair[r] = q
                     frontier = nxt
-                for wl in _cycle_reachable(nodes, node_set, succ):
-                    a, b = divmod(pair[wl] - n, n)
-                    add(wl, pair[wl])
-                    add(_inverse(wl), n + inv[b] * n + inv[a])
-
-        for q in origin:
-            a, b = divmod(q - n, n)
-            perm.append(tuple(map(perm[b].__getitem__, perm[a])))
-            sec.append(tuple(_within(inside.get(block[k])) for k in kids[q]))
-            inv.append(_within(inside.get(block[n + inv[b] * n + inv[a]])))
+                recurring = _cycle_reachable(nodes, node_set, succ)
+                if recurring:
+                    for ls in table.adjoin(recurring, pair, succ):
+                        grow(ls)
         old = n
-        del kids                         # not held while the next table is built
 
     # shortest equal word of each representative whose search space is small
     width = 2 * len(_gen_codes(aut))
-    keys = {k: _element_key(aut, ls) for k, ls in enumerate(reps)
+    keys = {k: table.key(k) for k, ls in enumerate(reps)
             if sum(width ** m for m in range(len(ls) + 1)) <= 20000}
     best = _first_words(aut, set(keys.values()),
                         max((len(reps[k]) for k in keys), default=0))
@@ -633,39 +617,209 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
         {words[k]: {alphabet[x]: words[s] for x, s in enumerate(sec[k])} for k in order})
 
 
-def _within(k):
-    """An element id, or the error for a residual outside the computed set."""
-    if k is None:
-        raise NotContractingWithinCaps("residual left the computed set; raise the caps")
-    return k
+class _Elements:
+    """The nucleus's element table, and which element a product of two equals.
 
-
-def _pair_blocks(perm, sec):
-    """Element classes of n elements and of the n² products of two of them.
-
-    Element k has the level-one permutation perm[k] and the section ids
-    sec[k].  State k < n is element k, and state n + a*n + b is the product
-    of a then b: its permutation is perm[b] after perm[a], and its section
-    at x is the pair (sec[a][x], sec[b][perm[a][x]]).  Returns (block,
-    succ): mealy._refine_partition's block of each state, and each state's
-    successor states, letter by letter, so that a caller reads a pair's
-    sections from succ.  Refinement merges exactly the states that act
-    alike on the tree, so distinct elements keep blocks 0..n-1, and a pair
-    lies in block k < n exactly when it equals element k.
+    Element k has the level-one permutation perm[k], the section ids sec[k]
+    and the inverse id inv[k]; element 0 is the identity.  The elements are
+    pairwise distinct, and the table is closed under sections and inverses.
+    The pair (a, b) is the product of a then b: its permutation is perm[b]
+    after perm[a], and its section at x is the pair (sec[a][x],
+    sec[b][perm[a][x]]).
     """
-    n = len(perm)
-    ids = {}                             # permutation -> its number
-    own = [ids.setdefault(p, len(ids)) for p in perm]
-    distinct = list(ids)
-    then = [[ids.setdefault(tuple(map(q.__getitem__, p)), len(ids)) for q in distinct]
-            for p in distinct]
-    outputs, succ = list(own), list(sec)
-    for pa, sa, oa in zip(perm, sec, own):
-        base = [n + s * n for s in sa]
-        row = then[oa]
-        outputs += [row[ob] for ob in own]
-        succ += [[t + sb[y] for t, y in zip(base, pa)] for sb in sec]
-    return _refine_partition(outputs, succ), succ
+
+    __slots__ = ("perm", "sec", "inv", "levels", "alike", "equal", "tried")
+
+    DEEPER = 8                           # level points composed per candidate walk saved
+
+    def __init__(self):
+        self.perm, self.sec, self.inv = [], [], []
+        self.levels = [self.perm]        # level-(d+1) permutation of each element
+        self.alike = [{}]                # level-(d+1) permutation -> ids, ascending
+        self.equal = {}                  # pair -> the element it equals
+        self.tried = {}                  # pair -> n: it differs from elements 0..n-1
+
+    def append(self, perm, sec, inv):
+        k = len(self.perm)
+        self.perm.append(perm)
+        self.sec.append(sec)
+        self.inv.append(inv)
+        self.alike[0].setdefault(perm, []).append(k)
+        self.equal[0, k] = self.equal[k, 0] = k
+
+    def find(self, q):
+        """Id of the element the pair q equals, or None.
+
+        A pair with an identity factor, or one met before, is answered from
+        `equal`.  Otherwise the pair is matched (_matches) against each
+        element with its level-d permutation, but for those it was found to
+        differ from already: a pair that equals none records how many
+        elements there were, and is tried later against the new ones only.
+        A pair's level-d permutation is its factors' composed.  d starts at
+        1 and grows while more than one candidate is left and the next
+        level has at most DEEPER points per candidate, so that composing at
+        that level costs about what a few failed walks would.  The list's
+        length decides this, not the machine: two-letter machines give each
+        level-one permutation many elements, larger alphabets few.
+        """
+        e = self.equal.get(q)
+        if e is not None:
+            return e
+        start = self.tried.get(q, 0)
+        if start == len(self.perm):
+            return None
+        a, b = q
+        perm, d = self.perm, 0
+        ids = self.alike[0].get(tuple(map(perm[b].__getitem__, perm[a])), ())
+        while len(ids) > 1 and len(self.levels[d][0]) * len(perm[0]) <= self.DEEPER * len(ids):
+            d += 1
+            level = self._level(d)
+            ids = self.alike[d].get(tuple(map(level[b].__getitem__, level[a])), ())
+        for e in ids:
+            if e >= start and self._matches(q, e):
+                return e
+        self.tried[q] = len(self.perm)
+        return None
+
+    def _level(self, d):
+        """Every element's level-(d+1) permutation, with their index alike[d].
+
+        Level 1 is `perm`, indexed as elements are appended.  A deeper level
+        is filled up to the table's length on demand, since an element's
+        sections may be adjoined after it.  The words of length d + 1 are
+        numbered in base |X|, first letter first, so the image of x u is
+        perm[x] followed by the image of u under the section at x.
+        """
+        if d == len(self.levels):
+            self.levels.append([])
+            self.alike.append({})
+        level, alike = self.levels[d], self.alike[d]
+        if len(level) < len(self.perm):
+            below = self._level(d - 1)
+            size = len(below[0])
+            for e in range(len(level), len(self.perm)):
+                image = []
+                for y, s in zip(self.perm[e], self.sec[e]):
+                    image += [y * size + z for z in below[s]]
+                image = tuple(image)
+                level.append(image)
+                alike.setdefault(image, []).append(e)
+        return level
+
+    def _matches(self, q, e):
+        """True iff the pair q equals element e; a walk like _acts_as, over the table.
+
+        Each pair reached is paired with the element it must equal, from
+        (q, e), and the walk stops at the first disagreement: a pair with
+        another level-one image than its element, a pair reached with two
+        elements, or one known to equal another element or to differ from
+        its own.  A complete walk relates every pair it reached to an
+        element with the same permutation and related sections, so each
+        pair equals its element; `equal` records them all, and with each
+        pair (a, b) the pair (inv[b], inv[a]), which equals its element's
+        inverse.  Conversely the elements are pairwise distinct, so when q
+        equals e every pair is reached with the one element it equals, and
+        the walk completes.
+        """
+        perm, sec, equal, tried = self.perm, self.sec, self.equal, self.tried
+        seen = {q: e}
+        todo = [q]
+        for q in todo:
+            a, b = q
+            f = seen[q]
+            pb, sa, sb, pf, sf = perm[b], sec[a], sec[b], perm[f], sec[f]
+            for x, y in enumerate(perm[a]):
+                if pb[y] != pf[x]:
+                    return False
+                r, g = (sa[x], sb[y]), sf[x]
+                h = equal.get(r)
+                if h is None:
+                    h = seen.get(r)
+                if h is None:
+                    if tried.get(r, 0) > g:
+                        return False
+                    seen[r] = g
+                    todo.append(r)
+                elif h != g:
+                    return False
+        equal.update(seen)
+        inv = self.inv
+        for (a, b), f in seen.items():
+            equal[inv[b], inv[a]] = inv[f]
+        return True
+
+    def adjoin(self, nodes, pair, succ):
+        """Adjoin the elements that recurring residual-graph nodes and their inverses are.
+
+        `nodes` are the recurring words in discovery order, pair[w] is the
+        pair that w equals and succ[w] lists its residuals outside the set,
+        in letter order, all of them nodes; `equal` holds the pairs of the
+        others, as the graph's walk asked for each.  No node and no inverse
+        of one equals an element of the table, which is closed under
+        inverses.
+        The nodes and their inverse words form a small machine whose other
+        successors are table elements, and an inverse word's successors
+        are the inverses of its word's.  One partition refinement
+        (mealy._refine_partition) over it, with each table element a state
+        whose output is its own id, merges the equal words.  The states go
+        node, inverse, node, inverse, ..., in `nodes` order, so its blocks,
+        numbered by first occurrence, are the new ids in the order of their
+        first words.  Returns those first words.
+        """
+        size, inv = len(self.perm), self.inv
+        where = {w: 2 * i for i, w in enumerate(nodes)}
+        outside = {}                     # table element -> its state
+        outputs, kids = [], []
+        for w in nodes:
+            a, b = pair[w]
+            pa, sa, sb = self.perm[a], self.sec[a], self.sec[b]
+            perm = tuple(map(self.perm[b].__getitem__, pa))
+            back_perm, forward, back = list(perm), [], list(perm)
+            rest = iter(succ[w])
+            for x, y in enumerate(perm):
+                e = self.equal.get((sa[x], sb[pa[x]]))
+                back_perm[y] = x
+                if e is None:
+                    s = where[next(rest)]
+                    forward.append(s)
+                    back[y] = s + 1
+                else:
+                    forward.append(outside.setdefault(e, 2 * len(nodes) + len(outside)))
+                    back[y] = outside.setdefault(inv[e], 2 * len(nodes) + len(outside))
+            outputs += [perm, tuple(back_perm)]
+            kids += [forward, back]
+        outputs += outside
+        kids += [()] * len(outside)
+        ids = [size + c for c in _refine_partition(outputs, kids)[:2 * len(nodes)]]
+        ids += outside
+        words = []
+        for s, w in enumerate(nodes):
+            for t in (2 * s, 2 * s + 1):
+                if ids[t] == len(self.perm):
+                    words.append(_inverse(w) if t & 1 else w)
+                    self.append(outputs[t], tuple(map(ids.__getitem__, kids[t])), ids[t ^ 1])
+            a, b = pair[w]
+            self.equal[a, b] = ids[2 * s]
+            self.equal[inv[b], inv[a]] = ids[2 * s + 1]
+        return words
+
+    def key(self, k):
+        """_element_key of element k, read from the table breadth first.
+
+        The table's elements are pairwise distinct and closed under
+        sections, so the elements that k's sections reach are the classes
+        of its minimal machine, numbered here in the breadth-first order
+        of first occurrence that _element_key numbers its classes in.
+        """
+        number, order, key = {k: 0}, [k], []
+        for e in order:
+            key += self.perm[e]
+            for s in self.sec[e]:
+                if s not in number:
+                    number[s] = len(order)
+                    order.append(s)
+                key.append(number[s])
+        return tuple(key)
 
 
 def _cycle_reachable(nodes, node_set, succ):
@@ -838,7 +992,7 @@ def sym_quotient_order(aut: MealyAutomaton, cap=None) -> int:
     if not aut.invertible:
         raise NotInvertible("level-one quotient needs an invertible automaton")
     cap = DEFAULT_QUOTIENT_CAP if cap is None else cap
-    check_int(cap, None, "quotient cap", QuotientTooLarge)
+    check_int(cap, 1, "quotient cap", QuotientTooLarge)
     n = len(aut.alphabet)
     if n > cap:
         raise QuotientTooLarge(

@@ -1,13 +1,19 @@
-"""Nucleus membership by element key, checked against the closure decider.
+"""The nucleus's element table, and element keys, checked against the closure decider.
 
-`nucleus` looks elements up by `wordproblem._element_key`, the minimal
-portrait of the machine that a word's residuals form.  Here the key must
-separate exactly the pairs the closure decider separates, must not depend
-on what the memo already holds, and the nucleus must equal the one built
-by the per-representative closure lookup, kept below as the reference,
-down to the cap error it raises under tight caps.  No pair product may be
-formed twice, and the shortlex search must find the words the closure
-search `_shortest` finds.
+`nucleus` keeps an element table (`wordproblem._Elements`) and asks it
+which element, if any, a pair product equals.  Its answers must be those
+of the n² pair table that earlier rounds refined (`_pair_blocks`, kept
+below as the reference), for every pair it is asked about and every pair
+of every table it held, and its breadth-first keys must be the element
+keys (`wordproblem._element_key`, the minimal portrait of the machine that
+a word's residuals form) of the nucleus's words.  The key must separate
+exactly the pairs the closure decider separates and must not depend on
+what the memo already holds.  The nucleus must equal the one built by the
+per-representative closure lookup, kept below as the reference, down to
+the cap error it raises under tight caps, and a raised size cap on a
+machine that is not contracting must stay in bounded memory.  No pair
+product may be formed twice, and the shortlex search must find the words
+the closure search `_shortest` finds.
 The reducibility scan's explicit-stack chain walk and its state-graph
 sweep are compared with the recursive per-word walk they replaced, the
 sweep's steps are counted against its states, and the Aleshin machine is
@@ -17,6 +23,7 @@ checked as a free, non-contracting fixture.
 import itertools
 import random
 import time
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -42,9 +49,11 @@ from selfsim.action import (
     iter_reduced_words,
 )
 from selfsim.errors import NotContractingWithinCaps, SelfSimError
+from selfsim.mealy import _refine_partition
 from selfsim.wordproblem import (
     Nucleus,
     ReducibilityReport,
+    _Elements,
     _acts_as,
     _cycle_reachable,
     _element_key,
@@ -105,16 +114,24 @@ def test_key_equal_exactly_when_elements_equal(seed):
         assert _element_key(fresh, word) == key
 
 
+def _words_to_key(aut):
+    """Words whose keys a test puts in the memo: the nucleus's elements.
+
+    Aleshin's capped nucleus run stops before it finds any, so it gives
+    the seeds and some reduced words instead.
+    """
+    try:
+        return list(nucleus(aut, size_cap=64))
+    except NotContractingWithinCaps:
+        return [_decode_word(aut, word) for word in itertools.islice(_code_words(aut, 3), 60)]
+
+
 @pytest.mark.parametrize("name", ["basilica", "star3", "fig5_tree", "aleshin"])
 def test_key_does_not_depend_on_the_memo(name):
-    # the memo holds what a nucleus run keyed, or, for Aleshin, whose capped
-    # run stops before it keys anything, the seeds and some reduced words
+    # shortest_representative keys each word it is asked for; nucleus keys none
     aut = builtin_automaton(name)
-    try:
-        nucleus(aut, size_cap=64)
-    except NotContractingWithinCaps:
-        for word in itertools.islice(_code_words(aut, 3), 60):
-            _element_key(aut, word)
+    for w in _words_to_key(aut):
+        shortest_representative(aut, w, 2)
     memo = aut._cache["key"]
     assert memo
     fresh = builtin_automaton(name)
@@ -303,6 +320,118 @@ def test_each_pair_product_is_formed_once(monkeypatch):
         assert formed and len(set(formed)) == len(formed)
 
 
+# -- the element table against the n² pair table -------------------------------------
+
+def _pair_blocks(perm, sec):
+    """Element classes of n elements and of the n² products of two of them.
+
+    Element k has the level-one permutation perm[k] and the section ids
+    sec[k].  State k < n is element k, and state n + a*n + b is the product
+    of a then b: its permutation is perm[b] after perm[a], and its section
+    at x is the pair (sec[a][x], sec[b][perm[a][x]]).  Returns (block,
+    succ): mealy._refine_partition's block of each state, and each state's
+    successor states, letter by letter, so that a caller reads a pair's
+    sections from succ.  Refinement merges exactly the states that act
+    alike on the tree, so distinct elements keep blocks 0..n-1, and a pair
+    lies in block k < n exactly when it equals element k.
+    """
+    n = len(perm)
+    ids = {}                             # permutation -> its number
+    own = [ids.setdefault(p, len(ids)) for p in perm]
+    distinct = list(ids)
+    then = [[ids.setdefault(tuple(map(q.__getitem__, p)), len(ids)) for q in distinct]
+            for p in distinct]
+    outputs, succ = list(own), list(sec)
+    for pa, sa, oa in zip(perm, sec, own):
+        base = [n + s * n for s in sa]
+        row = then[oa]
+        outputs += [row[ob] for ob in own]
+        succ += [[t + sb[y] for t, y in zip(base, pa)] for sb in sec]
+    return _refine_partition(outputs, succ), succ
+
+
+def _check_table(aut, rng, monkeypatch, **caps):
+    """The element table's answers in a nucleus run against the pair table.
+
+    Each pair the run asks about must get the answer of the pair table of
+    the elements the table held at the time.  Then a fresh table grows
+    through each table the run held, a prefix of the last one, and is
+    asked about all its pairs at each, in a shuffled order: its memo fills
+    in another order, and a pair that equalled no element is asked again
+    once more elements are there.  The table's keys must be those of the
+    nucleus's words.  Returns the nucleus, or None when the run hits a
+    cap, and the numbers of answers that named an element and none.
+    """
+    find, asked, tables = _Elements.find, [], []
+
+    def spy(table, q):
+        tables[:] = [table]
+        got = find(table, q)
+        asked.append((len(table.perm), q, got))
+        return got
+
+    monkeypatch.setattr(_Elements, "find", spy)
+    try:
+        nuc = nucleus(aut, **caps)
+    except NotContractingWithinCaps:
+        return None, 0, 0
+    finally:
+        monkeypatch.undo()
+    assert not aut._cache.get("key")
+    table, = tables
+    answers = {}                         # table length -> the pair table's answers
+    for size, q, got in asked:
+        if size not in answers:
+            block = _pair_blocks(table.perm[:size], table.sec[:size])[0]
+            answers[size] = {(a, b): block[size + a * size + b] for a in range(size)
+                             for b in range(size) if block[size + a * size + b] < size}
+        assert got == answers[size].get(q)
+    fresh = _Elements()
+    for size, want in sorted(answers.items()):
+        done = len(fresh.perm)
+        for row in zip(table.perm[done:size], table.sec[done:size], table.inv[done:size]):
+            fresh.append(*row)
+        pairs = list(itertools.product(range(size), repeat=2))
+        rng.shuffle(pairs)
+        for q in pairs:
+            assert find(fresh, q) == want.get(q)
+    assert len(table.perm) == len(nuc)
+    assert ({table.key(k) for k in range(len(nuc))}
+            == {_element_key(aut, _encode_word(aut, w)) for w in nuc})
+    named = sum(got is not None for _, _, got in asked)
+    return nuc, named, len(asked) - named
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("cycle_5",))
+def test_table_membership_matches_the_pair_table(name, monkeypatch):
+    nuc, named, none = _check_table(builtin_automaton(name), random.Random(name), monkeypatch)
+    assert nuc is not None and named and none
+
+
+def test_table_membership_matches_the_pair_table_on_random_machines(monkeypatch):
+    rng = random.Random(2026)
+    contracting = none = 0
+    while contracting < 30:
+        machine = _random_machine(rng)
+        nuc, _, missed = _check_table(_build(machine), rng, monkeypatch,
+                                      depth_cap=10, size_cap=40)
+        contracting += nuc is not None
+        none += missed
+    assert none
+
+
+def test_a_raised_size_cap_stays_in_bounded_memory():
+    # the n² pair table this table replaced peaked at 272 MB here
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotContractingWithinCaps, match="size cap 1024"):
+            nucleus(builtin_automaton("aleshin"), size_cap=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 10 ** 6
+
+
 def _check_first_words(aut, rng, count):
     """Lengths at which shortest_representative found a word of exactly max_len."""
     gens = [s for s in aut.states if s != aut.sink]
@@ -386,9 +515,12 @@ def test_walk_match_holds_exactly_when_the_keys_are_equal_on_random_machines():
 def test_key_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(selfsim.wordproblem, "MEMO_LIMIT", 10)
     aut = builtin_automaton("fig5_tree")
-    got = _outcome(nucleus, aut)
+    words = _words_to_key(aut)
+    assert len(words) > 10
+    got = [shortest_representative(aut, w, 3) for w in words]
     assert len(aut._cache["key"]) == 10
-    assert got == _outcome(nucleus, builtin_automaton("fig5_tree"))
+    fresh = builtin_automaton("fig5_tree")
+    assert got == [shortest_representative(fresh, w, 3) for w in words]
 
 
 # -- the reducibility scan's chain walk ----------------------------------------------

@@ -112,7 +112,7 @@ def test_every_import_is_used():
 
 
 # valid arguments of every public entry point that takes a cap or a depth; each
-# such parameter in turn gets a value that is not an int
+# such parameter in turn gets a value that is not an int, and each cap one below 1
 CAPPED = {
     "stabilizes_level": ("star3", {"w": "a", "k": 2}),
     "check_reducible": ("star3", {"max_len": 2, "max_depth": 8}),
@@ -144,8 +144,11 @@ def test_every_cap_and_depth_must_be_an_int():
         fn = getattr(selfsim, name)
         fn(selfsim.builtin_automaton(machine), **args)
         for param in cap_parameters(fn):
-            for bad in (2.0, "8", True):
+            bad_values = [(bad, "must be an integer, got ") for bad in (2.0, "8", True)]
+            if param != "max_depth":     # a negative chain depth means "walk no chain"
+                bad_values += [(0, "must be >= 1"), (-5, "must be >= 1")]
+            for bad, message in bad_values:
                 aut = selfsim.builtin_automaton(machine)
-                with pytest.raises(selfsim.SelfSimError, match="must be an integer, got "):
+                with pytest.raises(selfsim.SelfSimError, match=message):
                     fn(aut, **dict(args, **{param: bad}))
                 assert aut._cache == {}, (name, param, bad)
