@@ -328,6 +328,11 @@ class Nucleus:
         return iter(self.elements)
 
     def __contains__(self, word):
+        """True iff word is one of the representatives; a string is parsed first."""
+        if isinstance(word, str):
+            word = parse_word(word)
+        elif not isinstance(word, GroupWord):
+            word = GroupWord(word)
         return word in self.perms
 
     def __repr__(self):
@@ -521,6 +526,21 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     once its cycles and all that they reach were adjoined, no deeper and
     with nothing to adjoin.
 
+    Nor is the mirror of an examined pair.  The pairs (a, b) and (inv b,
+    inv a) are inverse elements, and a round's range is closed under
+    inverses, so both lie in it.  The residual of an inverse at an input
+    word is the inverse of a residual at an input word of the same length,
+    and the set is closed under inverses, so the two graphs' chains outside
+    the set mirror each other.  Once the first pair of the two is examined,
+    its graph has no cycle left outside the set, nor then has its mirror's:
+    the mirror adjoins nothing, and is skipped.  Its graph's levels are at
+    most the nodes of its longest chain, which can outnumber the first
+    graph's levels when two chains of unequal length meet at one word; so a
+    mirror is still examined, as the depth cap might fire there, when more
+    than depth_cap nodes of the first graph are left outside the set.  A
+    pair whose sections all lie in the set is a one-node graph with nothing
+    recurring, and its product is not formed.
+
     The last step replaces each representative whose search space is small
     by the shortlex-first word of its element: _first_words finds them all
     in one sweep, matching each candidate against the wanted elements'
@@ -554,15 +574,20 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
             grow(closure[i])
             table.append(perms[i], tuple(block[j] for j in succ[i]),
                          block[index[_inverse(closure[i])]])
-    perm, sec, find, known = table.perm, table.sec, table.find, table.equal.get
+    perm, sec, inv, find, known = table.perm, table.sec, table.inv, table.find, table.equal.get
 
     old = 0                              # elements whose pairs were all examined
+    owed = set()                         # later mirrors whose graphs may be deeper
     while old < len(reps):
         n = len(reps)
         for i in range(n):
             for j in range(old if i < old else 0, n):
-                if find((i, j)) is not None:
+                if ((inv[j], inv[i]) < (i, j) and (i, j) not in owed
+                        or find((i, j)) is not None):
                     continue
+                if all(known(q) is not None or find(q) is not None
+                       for q in zip(sec[i], map(sec[j].__getitem__, perm[i]))):
+                    continue                 # a one-node graph: nothing recurs
                 w0 = _product(reps[i], reps[j])
                 # residual graph of the product outside the current set
                 pair = {w0: (i, j)}
@@ -595,6 +620,8 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
                                 pair[r] = q
                     frontier = nxt
                 recurring = _cycle_reachable(nodes, node_set, succ)
+                if len(nodes) - len(recurring) > depth_cap:
+                    owed.add((inv[j], inv[i]))
                 if recurring:
                     for ls in table.adjoin(recurring, pair, succ):
                         grow(ls)

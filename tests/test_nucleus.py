@@ -11,9 +11,14 @@ exactly the pairs the closure decider separates and must not depend on
 what the memo already holds.  The nucleus must equal the one built by the
 per-representative closure lookup, kept below as the reference, down to
 the cap error it raises under tight caps, and a raised size cap on a
-machine that is not contracting must stay in bounded memory.  No pair
-product may be formed twice, and the shortlex search must find the words
-the closure search `_shortest` finds.
+machine that is not contracting must stay in bounded memory.  The rounds,
+which skip a pair whose mirror (inv b, inv a) came first and form no
+graph for a pair whose sections are elements, must leave the element
+table, the adjoined words and the cap error of the loop that examines
+every pair (kept below as the reference).  No pair product may be formed
+twice, nor for both pairs of a mirrored couple or for a pair whose
+sections are elements; the work of two runs is counted exactly.  The
+shortlex search must find the words the closure search `_shortest` finds.
 The reducibility scan's explicit-stack chain walk and its state-graph
 sweep are compared with the recursive per-word walk they replaced, the
 sweep's steps are counted against its states, and the Aleshin machine is
@@ -49,12 +54,14 @@ from selfsim.action import (
     iter_reduced_words,
 )
 from selfsim.errors import NotContractingWithinCaps, SelfSimError
+from selfsim.limits import DEFAULT_NUCLEUS_DEPTH, DEFAULT_NUCLEUS_SIZE
 from selfsim.mealy import _refine_partition
 from selfsim.wordproblem import (
     Nucleus,
     ReducibilityReport,
     _Elements,
     _acts_as,
+    _closure_scan,
     _cycle_reachable,
     _element_key,
     _gen_codes,
@@ -305,19 +312,207 @@ def test_nucleus_matches_the_closure_lookup_under_tight_caps():
     assert outcomes == {"Nucleus", "residual chains exceeded depth", "nucleus exceeded size"}
 
 
+def _recording_table(tables):
+    """An _Elements class whose tables add themselves to `tables` and keep what they adjoin."""
+
+    class Recorded(_Elements):
+        __slots__ = ("adjoined",)
+
+        def __init__(self):
+            super().__init__()
+            self.adjoined = []
+            tables.append(self)
+
+        def adjoin(self, nodes, pair, succ):
+            words = super().adjoin(nodes, pair, succ)
+            self.adjoined += words
+            return words
+
+    return Recorded
+
+
 def test_each_pair_product_is_formed_once(monkeypatch):
-    # a pair examined in one round is not examined again in a later one
-    formed = []
-
-    def product(u, v):
-        formed.append((u, v))
-        return _product(u, v)
-
-    monkeypatch.setattr(selfsim.wordproblem, "_product", product)
+    # a pair examined in one round is not examined again in a later one; of a
+    # mirrored couple (a, b), (inv b, inv a) only one is examined, as no graph
+    # here leaves more nodes outside than the depth cap; and a product is
+    # formed only when one of its sections is outside the table
     for name in ("fig5_tree", "cycle_5"):
-        formed.clear()
-        nucleus(builtin_automaton(name))
+        aut = builtin_automaton(name)
+        rows, letters = aut.core().rows, range(len(aut.alphabet))
+        formed, tables, keys = [], [], []
+
+        def product(u, v):
+            table, = tables
+            keys.extend(table.key(k) for k in range(len(keys), len(table.perm)))
+            w0 = _product(u, v)
+            assert any(_element_key(aut, _step_word(rows, w0, x)[1]) not in keys
+                       for x in letters)
+            formed.append((u, v))
+            return w0
+
+        monkeypatch.setattr(selfsim.wordproblem, "_Elements", _recording_table(tables))
+        monkeypatch.setattr(selfsim.wordproblem, "_product", product)
+        nucleus(aut)
         assert formed and len(set(formed)) == len(formed)
+        table, = tables
+        ids = {table.key(k): k for k in range(len(table.perm))}
+        pairs = {tuple(ids[_element_key(aut, w)] for w in uv) for uv in formed}
+        inv = table.inv
+        assert all((inv[b], inv[a]) not in pairs or (inv[b], inv[a]) == (a, b)
+                   for a, b in pairs)
+
+
+# -- the round loop against the loop that examines every pair ----------------------
+
+def _every_pair_nucleus(aut, depth_cap=DEFAULT_NUCLEUS_DEPTH, size_cap=DEFAULT_NUCLEUS_SIZE):
+    """nucleus's seeding and rounds, with a residual graph for every pair not found.
+
+    The rounds as they were before they skipped a pair whose mirror (inv b,
+    inv a) came earlier in the round, and a pair whose sections are all
+    table elements.  The table is `wordproblem._Elements`, looked up when
+    called, so that a test can record it; the shortest-word pass is left
+    out.
+    """
+    rows, letters = aut.core().rows, range(len(aut.alphabet))
+    reps = []
+
+    def grow(ls):
+        reps.append(ls)
+        if len(reps) > size_cap:
+            raise NotContractingWithinCaps("nucleus exceeded size cap %d" % size_cap)
+
+    seeds = [(c,) for c in _gen_codes(aut)]
+    seeds += [(-c,) for c, in seeds]
+    _, closure, perms, succ = _closure_scan(aut, [()] + seeds, False)
+    block = _refine_partition(perms, succ)
+    index = {ls: i for i, ls in enumerate(closure)}
+    table = selfsim.wordproblem._Elements()
+    for i, b in enumerate(block):
+        if b == len(reps):
+            grow(closure[i])
+            table.append(perms[i], tuple(block[j] for j in succ[i]),
+                         block[index[_inverse(closure[i])]])
+    perm, sec, find, known = table.perm, table.sec, table.find, table.equal.get
+    old = 0
+    while old < len(reps):
+        n = len(reps)
+        for i in range(n):
+            for j in range(old if i < old else 0, n):
+                if find((i, j)) is not None:
+                    continue
+                w0 = _product(reps[i], reps[j])
+                pair, nodes, node_set, succ = {w0: (i, j)}, [w0], {w0}, {}
+                frontier, levels = [w0], 0
+                while frontier:
+                    levels += 1
+                    if levels > depth_cap:
+                        raise NotContractingWithinCaps(
+                            "residual chains exceeded depth cap %d" % depth_cap)
+                    nxt = []
+                    for wl in frontier:
+                        a, b = pair[wl]
+                        pa, sa, sb = perm[a], sec[a], sec[b]
+                        succ[wl] = out = []
+                        for x in letters:
+                            q = sa[x], sb[pa[x]]
+                            if known(q) is not None or find(q) is not None:
+                                continue
+                            r = _step_word(rows, wl, x)[1]
+                            out.append(r)
+                            if r not in node_set:
+                                node_set.add(r)
+                                nodes.append(r)
+                                nxt.append(r)
+                                pair[r] = q
+                    frontier = nxt
+                recurring = _cycle_reachable(nodes, node_set, succ)
+                if recurring:
+                    for ls in table.adjoin(recurring, pair, succ):
+                        grow(ls)
+        old = n
+
+
+def _rounds(fn, aut, **caps):
+    """What fn's rounds leave: the cap error, the element table, the words adjoined.
+
+    The adjoined words are those passed to grow after the seeding, in
+    order, up to the one that broke the size cap, if any.
+    """
+    tables = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selfsim.wordproblem, "_Elements", _recording_table(tables))
+        try:
+            fn(aut, **caps)
+            error = None
+        except NotContractingWithinCaps as exc:
+            error = str(exc)
+    table, = tables
+    return error, table.perm, table.sec, table.inv, table.adjoined
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("cycle_5",))
+def test_rounds_match_the_every_pair_loop(name):
+    got = _rounds(nucleus, builtin_automaton(name))
+    assert got == _rounds(_every_pair_nucleus, builtin_automaton(name))
+    assert got[0] is None and (got[4] or name == "adding_machine")
+
+
+def test_rounds_match_the_every_pair_loop_under_tight_caps():
+    # the machines and caps of test_nucleus_matches_the_closure_lookup_under_tight_caps
+    rng = random.Random(424242)
+    outcomes = set()
+    for _ in range(200):
+        machine = _random_machine(rng)
+        caps = {"depth_cap": rng.randint(1, 3), "size_cap": rng.randint(5, 20)}
+        got = _rounds(nucleus, _build(machine), **caps)
+        assert got == _rounds(_every_pair_nucleus, _build(machine), **caps)
+        outcomes.add(got[0] and got[0].split(" cap ")[0])
+    assert outcomes == {None, "residual chains exceeded depth", "nucleus exceeded size"}
+
+
+def test_a_mirror_deeper_than_its_pair_is_still_examined():
+    # two chains of unequal length in a pair's residual graph reach one word,
+    # so the graph has fewer levels than its longest chain; its mirror's graph,
+    # whose chains do not meet, is the first to pass depth cap 4
+    records = [(SINK, x, SINK, x) for x in "012"]
+    records += [("s0", "0", SINK, "1"), ("s0", "1", SINK, "0"), ("s0", "2", "s0", "2"),
+                ("s1", "0", "s1", "0"), ("s1", "1", "s0", "2"), ("s1", "2", "s1", "1")]
+    machine = records, ["s0", "s1", SINK], list("012")
+    caps = {"depth_cap": 4, "size_cap": 60}
+    got = _rounds(nucleus, _build(machine), **caps)
+    assert got[0] == "residual chains exceeded depth cap 4"
+    assert got == _rounds(_every_pair_nucleus, _build(machine), **caps)
+    assert _outcome(nucleus, _build(machine), **caps) == _outcome(
+        _reference_nucleus, _build(machine), **caps)
+
+
+def _count_work(monkeypatch, name):
+    """Calls of _Elements.find, _Elements._matches and _product in one nucleus run."""
+    counts = dict.fromkeys(("find", "_matches", "_product"), 0)
+
+    def counted(owner, attr):
+        fn = getattr(owner, attr)
+
+        def call(*args):
+            counts[attr] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, attr, call)
+
+    counted(_Elements, "find")
+    counted(_Elements, "_matches")
+    counted(selfsim.wordproblem, "_product")
+    nucleus(builtin_automaton(name))
+    monkeypatch.undo()
+    return counts
+
+
+def test_nucleus_work_counts(monkeypatch):
+    # the README quotes the fig5_tree figures; examining every pair, with a graph
+    # for each one not found, took 971 finds, 199 walks and 760 products there,
+    # and 9,261 finds, 6,988 walks and 7,265 products on cycle_5
+    assert _count_work(monkeypatch, "fig5_tree") == {"find": 516, "_matches": 136, "_product": 10}
+    assert _count_work(monkeypatch, "cycle_5") == {"find": 4746, "_matches": 3998, "_product": 45}
 
 
 # -- the element table against the n² pair table -------------------------------------

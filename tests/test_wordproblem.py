@@ -302,6 +302,18 @@ def test_nucleus_basilica(basilica):
         assert any(elements_equal(basilica, rep, target) for rep in nuc.elements)
 
 
+def test_nucleus_contains_a_representative_in_any_word_form(basilica, fig5):
+    nuc = nucleus(basilica)
+    for word in ("", "a", "a^-1 b", "b b^-1 a", parse_word("a^-1 b"),
+                 [("a", -1), ("b", 1)], (("b", -1), ("a", 1))):
+        assert word in nuc
+    # a representative, not any word of its element: only a^-1 b is listed
+    assert "b a^-1" not in nuc and [("b", 1), ("a", -1)] not in nuc
+    nuc = nucleus(fig5)
+    assert "e1" in nuc and elements_equal(fig5, "e2 e4 e2^-1 e4^-1 e1", "e1")
+    assert "e2 e4 e2^-1 e4^-1 e1" not in nuc
+
+
 # -- exponent sums ------------------------------------------------------------------------------
 
 def test_exponent_sums(star):
