@@ -9,8 +9,8 @@ is a positive integer, and each key may appear once.  MEMO_LIMIT and
 MAX_POWER_STATES are plain constants with no SELFSIM_CAPS key; MEMO_LIMIT
 bounds each memo a machine keeps: the closure verdicts of the words that
 fix level one (`wp`; a word that moves a letter is never stored), the shared
-NonIdentity verdicts, one per witness (`moved`), the level walks (`stab`,
-`fragile`) and the element keys of `shortest_representative` (`key`).
+NonIdentity verdicts, one per witness (`moved`), and the level walks
+(`stab`, `fragile`).
 """
 
 import os

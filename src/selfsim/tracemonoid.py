@@ -19,6 +19,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .graphgroup import OrientedGraph, is_tree, line_graph_complement
+from .limits import check_int
 from .mealy import MealyAutomaton, _cyclic_components
 from .wordproblem import _closure_scan, is_identity
 
@@ -279,9 +280,10 @@ def _require_no_directed_cycle(orient):
 
 def check_cycle_torsion(aut: MealyAutomaton, w, k: int) -> bool:
     """For an oriented cycle word of length k, test the positive relation at power k - 1."""
+    check_int(k, 2, "cycle length", BadGraph)
     word = positive_state_word(aut, w)
-    if len(word) != k or k < 2:
-        raise BadGraph("cycle word length must equal k >= 2")
+    if len(word) != k:
+        raise BadGraph("cycle word length must equal k")
     if len(set(word)) != len(word):
         raise BadGraph("cycle word must not repeat an edge")
     orient = _edge_orientation(aut)

@@ -304,6 +304,13 @@ def exponent_sums(w, generators):
     return tuple(sums[g] for g in generators)
 
 
+def _group_word(w):
+    """w as a GroupWord: word text is parsed (parse_word), a letter sequence reduced."""
+    if isinstance(w, str):
+        return parse_word(w)
+    return w if isinstance(w, GroupWord) else GroupWord(w)
+
+
 # -- nucleus -----------------------------------------------------------------
 
 class Nucleus:
@@ -329,11 +336,7 @@ class Nucleus:
 
     def __contains__(self, word):
         """True iff word is one of the representatives; a string is parsed first."""
-        if isinstance(word, str):
-            word = parse_word(word)
-        elif not isinstance(word, GroupWord):
-            word = GroupWord(word)
-        return word in self.perms
+        return _group_word(word) in self.perms
 
     def __repr__(self):
         return "Nucleus(%s)" % ", ".join(str(w) for w in self.elements)
@@ -357,138 +360,128 @@ def shortest_representative(aut: MealyAutomaton, w, max_len: int, cap=None):
     max_len = min(max_len, len(word))
     width = 2 * len(_gen_codes(aut))
     _check_sweep_cap(width, width - 1, max_len, 1, cap, "representative search")
-    key = _element_key(aut, word)
-    found = _first_words(aut, {key}, max_len).get(key)
+    _, _, perm, sec = _minimal_machine(aut, [word])
+    found = _first_words(aut, perm, sec, [0], max_len).get(0)
     return None if found is None else _decode_word(aut, found)
 
 
-def _element_key(aut, word):
-    """Canonical key of the element a code word acts as: its minimal portrait.
+def _minimal_machine(aut, roots):
+    """Minimal machine of the residuals of the root code words: (order, block, perm, sec).
 
-    One closure walk (_closure_scan), breadth first in letter order,
-    lists each residual's level-one permutation and the indices of its
+    One closure walk (_closure_scan) from the roots lists the residuals in
+    `order`, each with its level-one permutation and the indices of its
     successors.  Partition refinement (mealy._refine_partition) merges
-    equal residuals: the classes start as the permutation classes and are
-    split by successor classes until none splits.  Classes
-    are numbered by first occurrence in discovery order, which is the
-    breadth-first order of the minimal machine from its root.  The key
-    lists the classes in that order, each as its permutation followed by
-    its successors' numbers, in one flat tuple of ints whose first |X|
-    entries are the root's permutation; so it is the same for every word of
-    the element.  The group acts faithfully on the tree, so equal keys mean
-    equal elements.  Memoized per code word in the `key` memo, which stops
-    growing at MEMO_LIMIT entries.
+    equal residuals: block[i] is the class of order[i], classes numbered by
+    first occurrence, so class 0 is the first root's.  Class c has the
+    level-one permutation perm[c] and the section classes sec[c].  The
+    group acts faithfully on the tree, so the classes are pairwise
+    distinct elements, and words of one element give the same (perm, sec).
     """
-    memo = _memo(aut, "key")
-    key = memo.get(word)
-    if key is not None:
-        return key
-    _, _, perms, succ = _closure_scan(aut, [word], False)
+    _, order, perms, succ = _closure_scan(aut, roots, False)
     block = _refine_partition(perms, succ)
-    key, numbered = [], 0
+    perm, sec = [], []
     for i, b in enumerate(block):
-        if b == numbered:
-            key += perms[i]
-            key += [block[j] for j in succ[i]]
-            numbered += 1
-    key = tuple(key)
-    _remember(memo, word, key, MEMO_LIMIT)
-    return key
+        if b == len(perm):
+            perm.append(perms[i])
+            sec.append(tuple(block[j] for j in succ[i]))
+    return order, block, perm, sec
 
 
-def _first_words(aut, keys, max_len):
-    """Shortlex-first reduced code word of length <= max_len for each element key.
+def _first_words(aut, perm, sec, ids, max_len):
+    """Shortlex-first reduced code word of length <= max_len for each wanted element.
 
-    Shortlex order over the reduced words, stopped once every key is found.
-    A candidate is tried only when its level-one permutation, the first |X|
-    entries of a key, is that of a key still wanted; the permutation is
-    composed from the candidate's prefix.  The candidate is then matched
-    (_acts_as) against each wanted key with that permutation, and is never
-    keyed itself.  action._hit_sweep, with a hit that is always true, lists
-    the words up to length max_len - 1, each with its permutation, and that
-    last level is kept.  The last length is not swept: a prefix is
-    extended only by the letters c with step(prefix permutation, c) a
-    wanted permutation, looked up in a table of step(wanted, -c), in prefix
-    order and then letter order, which is the sweep's own order.  Keys
-    without such a word are missing from the result.  The machine must be
-    invertible, so -c undoes c.
+    The elements are rows of a table closed under sections whose elements
+    are pairwise distinct: element e has the level-one permutation perm[e]
+    and the section ids sec[e].  Returns {id: word} for the wanted `ids`.
+    Shortlex order over the reduced words, stopped once every id is found.
+    A candidate is tried only when its level-one permutation is that of an
+    element still wanted; the permutation is composed from the candidate's
+    prefix.  The candidate is then matched (_acts_as) against each wanted
+    element with that permutation.  action._hit_sweep, with a hit that is
+    always true, lists the words up to length max_len - 1, each with its
+    permutation, and that last level is kept.  The last length is not
+    swept: a prefix is extended only by the letters c with step(prefix
+    permutation, c) a wanted permutation, looked up in a table of
+    step(wanted, -c), in prefix order and then letter order, which is the
+    sweep's own order.  Ids without such a word are missing from the
+    result.  The machine must be invertible, so -c undoes c.
     """
     rows, n = aut.core().rows, len(aut.alphabet)
     signed, inverse = _signed_codes(_gen_codes(aut))
     moves = {c: tuple(rows[c][x][0] for x in range(n)) for c in signed}
     identity = tuple(range(n))
-    wanted = {}                          # level-one permutation -> keys still wanted
-    for key in keys:
-        wanted.setdefault(key[:n], []).append(key)
+    wanted = {}                          # level-one permutation -> ids still wanted
+    for e in ids:
+        wanted.setdefault(perm[e], []).append(e)
     found = {}
 
-    def step(perm, c):
-        return tuple(map(moves[c].__getitem__, perm))
+    def step(image, c):
+        return tuple(map(moves[c].__getitem__, image))
 
-    def take(candidate, perm):
-        """Match a candidate with a wanted permutation; True once every key is found."""
-        pending = wanted[perm]
-        for key in pending:
-            if _acts_as(rows, n, candidate, key):
-                found[key] = candidate
-                pending.remove(key)
+    def take(candidate, image):
+        """Match a candidate with a wanted permutation; True once every id is found."""
+        pending = wanted[image]
+        for e in pending:
+            if _acts_as(rows, candidate, perm, sec, e):
+                found[e] = candidate
+                pending.remove(e)
                 if not pending:
-                    del wanted[perm]
+                    del wanted[image]
                 break
         return not wanted
 
     if not wanted:
         return found
     last = []
-    sweep = _hit_sweep(signed, inverse, max_len - 1, identity, step, lambda perm: True)
-    for candidate, perm in itertools.chain([((), identity)], sweep):
-        if perm in wanted and take(candidate, perm):
+    sweep = _hit_sweep(signed, inverse, max_len - 1, identity, step, lambda image: True)
+    for candidate, image in itertools.chain([((), identity)], sweep):
+        if image in wanted and take(candidate, image):
             return found
         if len(candidate) == max_len - 1:
-            last.append((candidate, perm))
+            last.append((candidate, image))
     ends = {}
-    for perm in wanted:
+    for image in wanted:
         for c in signed:
-            ends.setdefault(step(perm, -c), set()).add(c)
-    for prefix, perm in last:
-        allowed = ends.get(perm, ())
+            ends.setdefault(step(image, -c), set()).add(c)
+    for prefix, image in last:
+        allowed = ends.get(image, ())
         back = inverse[prefix[-1]] if prefix else None
         for c in signed:
             if c in allowed and c != back:
-                after = step(perm, c)
+                after = step(image, c)
                 if after in wanted and take(prefix + (c,), after):
                     return found
     return found
 
 
-def _acts_as(rows, n, word, key):
-    """True iff the code word acts as the element whose key (_element_key) is `key`.
+def _acts_as(rows, word, perm, sec, e):
+    """True iff the code word acts as element e of a table (perm, sec).
 
-    The key is a flat minimal portrait: class c sits at key[2nc : 2nc+2n],
-    its permutation followed by its successors' numbers, and class 0 is the
-    element itself.  The walk pairs each residual of the word with the
-    class it must equal, from (word, 0), and stops at the first
-    disagreement: a residual with another level-one image than its class,
-    or one residual reached with two classes.  A complete walk relates
-    every residual to a class with the same permutation and related
-    successors, so the word acts as class 0.  Conversely, the key's classes
-    are pairwise distinct elements, so a word of the element reaches each
-    residual with the one class that residual equals, and the walk
-    completes.
+    The table is closed under sections and its elements are pairwise
+    distinct: element f has the level-one permutation perm[f] and the
+    section ids sec[f].  The walk pairs each residual of the word with the
+    element it must equal, from (word, e), and stops at the first
+    disagreement: a residual with another level-one image than its
+    element, or one residual reached with two elements.  A complete walk
+    relates every residual to an element with the same permutation and
+    related sections, so the word acts as e.  Conversely, the elements are
+    pairwise distinct, so a word of e reaches each residual with the one
+    element that residual equals, and the walk completes.
     """
-    classes = {word: 0}
+    classes = {word: e}
     todo = [word]
     for cur in todo:
-        base = 2 * n * classes[cur]
-        for x in range(n):
+        f = classes[cur]
+        pf, sf = perm[f], sec[f]
+        for x, s in enumerate(sf):
             y, res = _step_word(rows, cur, x)
-            if y != key[base + x]:
+            if y != pf[x]:
                 return False
             c = classes.get(res)
             if c is None:
-                classes[res] = key[base + n + x]
+                classes[res] = s
                 todo.append(res)
-            elif c != key[base + n + x]:
+            elif c != s:
                 return False
     return True
 
@@ -503,11 +496,10 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     an error instead of a hang.
 
     A residual of a one-letter word is a one-letter word or empty, so the
-    seeds' walk (one _closure_scan from all of them, each root's walk after
-    the last) is closed under residuals and inverse words.  One partition
-    refinement over it merges equal words; its blocks, numbered in order of
-    first occurrence, are the first element ids, and the first word of each
-    block is its representative.
+    seeds' residuals are closed under inverse words.  Their minimal machine
+    (_minimal_machine, rooted at the identity and then each seed) gives the
+    first elements, its classes in order, and the first word of each class
+    is its representative.
 
     The set is an element table (_Elements): for each id, its level-one
     permutation, the ids of its sections and the id of its inverse.  Each
@@ -544,7 +536,7 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     The last step replaces each representative whose search space is small
     by the shortlex-first word of its element: _first_words finds them all
     in one sweep, matching each candidate against the wanted elements'
-    keys, which are read from the table (_Elements.key).
+    rows of the table.
     """
     if not aut.invertible:
         raise NotInvertible("nucleus needs an invertible automaton")
@@ -565,15 +557,13 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     # seed: identity, states and inverses
     seeds = [(c,) for c in _gen_codes(aut)]
     seeds += [(-c,) for c, in seeds]
-    _, closure, perms, succ = _closure_scan(aut, [()] + seeds, False)
-    block = _refine_partition(perms, succ)
+    closure, block, perm, sec = _minimal_machine(aut, [()] + seeds)
     index = {ls: i for i, ls in enumerate(closure)}
     table = _Elements()
     for i, b in enumerate(block):
         if b == len(reps):
             grow(closure[i])
-            table.append(perms[i], tuple(block[j] for j in succ[i]),
-                         block[index[_inverse(closure[i])]])
+            table.append(perm[b], sec[b], block[index[_inverse(closure[i])]])
     perm, sec, inv, find, known = table.perm, table.sec, table.inv, table.find, table.equal.get
 
     old = 0                              # elements whose pairs were all examined
@@ -629,11 +619,10 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
 
     # shortest equal word of each representative whose search space is small
     width = 2 * len(_gen_codes(aut))
-    keys = {k: table.key(k) for k, ls in enumerate(reps)
-            if sum(width ** m for m in range(len(ls) + 1)) <= 20000}
-    best = _first_words(aut, set(keys.values()),
-                        max((len(reps[k]) for k in keys), default=0))
-    final = [best.get(keys[k], ls) if k in keys else ls for k, ls in enumerate(reps)]
+    small = [k for k, ls in enumerate(reps)
+             if sum(width ** m for m in range(len(ls) + 1)) <= 20000]
+    best = _first_words(aut, perm, sec, small, max((len(reps[k]) for k in small), default=0))
+    final = [best.get(k, ls) for k, ls in enumerate(reps)]
     order = sorted(range(len(reps)), key=lambda k: (len(final[k]), _lex_key(final[k])))
 
     alphabet = aut.alphabet
@@ -829,24 +818,6 @@ class _Elements:
             self.equal[a, b] = ids[2 * s]
             self.equal[inv[b], inv[a]] = ids[2 * s + 1]
         return words
-
-    def key(self, k):
-        """_element_key of element k, read from the table breadth first.
-
-        The table's elements are pairwise distinct and closed under
-        sections, so the elements that k's sections reach are the classes
-        of its minimal machine, numbered here in the breadth-first order
-        of first occurrence that _element_key numbers its classes in.
-        """
-        number, order, key = {k: 0}, [k], []
-        for e in order:
-            key += self.perm[e]
-            for s in self.sec[e]:
-                if s not in number:
-                    number[s] = len(order)
-                    order.append(s)
-                key.append(number[s])
-        return tuple(key)
 
 
 def _cycle_reachable(nodes, node_set, succ):
@@ -1100,14 +1071,10 @@ def dichotomy(tuples) -> DichotomyResult:
 
     Two free-group elements commute iff their commutator freely reduces to
     the empty word, so no root extraction is needed.  A failing component
-    exhibits a rank-two free subgroup.
+    exhibits a rank-two free subgroup.  A component is word text (parsed by
+    parse_word), a GroupWord or a sequence of (generator, +-1) letters.
     """
-    rows = []
-    for row in tuples:
-        cooked = tuple(
-            item if isinstance(item, GroupWord) else GroupWord(tuple(item))
-            for item in row)
-        rows.append(cooked)
+    rows = [tuple(map(_group_word, row)) for row in tuples]
     if not rows:
         return DichotomyResult("Abelian", None, None)
     width = len(rows[0])

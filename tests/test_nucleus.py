@@ -1,14 +1,18 @@
 """The nucleus's element table, and element keys, checked against the closure decider.
 
-`nucleus` keeps an element table (`wordproblem._Elements`) and asks it
-which element, if any, a pair product equals.  Its answers must be those
-of the n² pair table that earlier rounds refined (`_pair_blocks`, kept
-below as the reference), for every pair it is asked about and every pair
-of every table it held, and its breadth-first keys must be the element
-keys (`wordproblem._element_key`, the minimal portrait of the machine that
-a word's residuals form) of the nucleus's words.  The key must separate
-exactly the pairs the closure decider separates and must not depend on
-what the memo already holds.  The nucleus must equal the one built by the
+An element's key here is its minimal portrait: the level-one permutations
+and section classes (perm, sec) of the minimal machine that a word's
+residuals form (`wordproblem._minimal_machine`), or of a table element's
+rows read breadth first (`_row_key`).  `nucleus` keeps an element table
+(`wordproblem._Elements`) and asks it which element, if any, a pair
+product equals.  Its answers must be those of the n² pair table that
+earlier rounds refined (`_pair_blocks`, kept below as the reference), for
+every pair it is asked about and every pair of every table it held, and
+the keys of its rows must be those of the nucleus's words.  The key must
+separate exactly the pairs the closure decider separates, and no key is
+memoized.  A word must act (`_acts_as`) as exactly the one element whose
+key is its own, among the rows of a table and among those of the
+nucleus's table.  The nucleus must equal the one built by the
 per-representative closure lookup, kept below as the reference, down to
 the cap error it raises under tight caps, and a raised size cap on a
 machine that is not contracting must stay in bounded memory.  The rounds,
@@ -63,9 +67,9 @@ from selfsim.wordproblem import (
     _acts_as,
     _closure_scan,
     _cycle_reachable,
-    _element_key,
     _gen_codes,
     _lex_key,
+    _minimal_machine,
     _verdict,
 )
 
@@ -98,6 +102,30 @@ def _code_words(aut, max_len, include_empty=True):
 
 # -- the key against the closure decider ---------------------------------------------
 
+def _key(aut, word):
+    """Key of the element a code word acts as: its minimal machine's (perm, sec)."""
+    _, _, perm, sec = _minimal_machine(aut, [word])
+    return tuple(perm), tuple(sec)
+
+
+def _row_key(perm, sec, k):
+    """Key of element k of a table, read from its rows breadth first from k.
+
+    The table's elements are pairwise distinct and closed under sections,
+    so the elements that k's sections reach are the classes of its minimal
+    machine; breadth first in letter order they come in the order of first
+    occurrence that `_minimal_machine` numbers its classes in.
+    """
+    number, order = {k: 0}, [k]
+    for e in order:
+        for s in sec[e]:
+            if s not in number:
+                number[s] = len(order)
+                order.append(s)
+    return (tuple(perm[e] for e in order),
+            tuple(tuple(map(number.__getitem__, sec[e])) for e in order))
+
+
 @settings(max_examples=150)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_key_equal_exactly_when_elements_equal(seed):
@@ -112,17 +140,14 @@ def test_key_equal_exactly_when_elements_equal(seed):
         pool += [w, w + rng.choice(pool)]
     heads = {}
     for w in pool:
-        head = heads.setdefault(_element_key(aut, _encode_word(aut, w)), w)
+        head = heads.setdefault(_key(aut, _encode_word(aut, w)), w)
         assert elements_equal(aut, head, w)
     for u, v in itertools.combinations(heads.values(), 2):
         assert not elements_equal(aut, u, v)
-    fresh = _build(machine)
-    for word, key in aut._cache["key"].items():
-        assert _element_key(fresh, word) == key
 
 
 def _words_to_key(aut):
-    """Words whose keys a test puts in the memo: the nucleus's elements.
+    """Words for a test to ask shortest_representative about: the nucleus's elements.
 
     Aleshin's capped nucleus run stops before it finds any, so it gives
     the seeds and some reduced words instead.
@@ -134,24 +159,19 @@ def _words_to_key(aut):
 
 
 @pytest.mark.parametrize("name", ["basilica", "star3", "fig5_tree", "aleshin"])
-def test_key_does_not_depend_on_the_memo(name):
-    # shortest_representative keys each word it is asked for; nucleus keys none
+def test_no_key_memo_is_kept(name):
+    # nucleus reads keys off its table, shortest_representative builds each one afresh
     aut = builtin_automaton(name)
     for w in _words_to_key(aut):
         shortest_representative(aut, w, 2)
-    memo = aut._cache["key"]
-    assert memo
-    fresh = builtin_automaton(name)
-    for word, key in memo.items():
-        fresh._cache.pop("key", None)
-        assert _element_key(fresh, word) == key
+    assert "key" not in aut._cache
 
 
 def test_key_of_an_identity_is_the_one_state_portrait(fig5):
     identity = _encode_word(fig5, "e2 e4 e2^-1 e4^-1")
     assert is_identity(fig5, "e2 e4 e2^-1 e4^-1").identity
     n = len(fig5.alphabet)
-    assert _element_key(fig5, identity) == tuple(range(n)) + (0,) * n
+    assert _key(fig5, identity) == ((tuple(range(n)),), ((0,) * n,))
 
 
 # -- the nucleus against per-representative closure lookups ---------------------------
@@ -343,9 +363,10 @@ def test_each_pair_product_is_formed_once(monkeypatch):
 
         def product(u, v):
             table, = tables
-            keys.extend(table.key(k) for k in range(len(keys), len(table.perm)))
+            keys.extend(_row_key(table.perm, table.sec, k)
+                        for k in range(len(keys), len(table.perm)))
             w0 = _product(u, v)
-            assert any(_element_key(aut, _step_word(rows, w0, x)[1]) not in keys
+            assert any(_key(aut, _step_word(rows, w0, x)[1]) not in keys
                        for x in letters)
             formed.append((u, v))
             return w0
@@ -355,8 +376,8 @@ def test_each_pair_product_is_formed_once(monkeypatch):
         nucleus(aut)
         assert formed and len(set(formed)) == len(formed)
         table, = tables
-        ids = {table.key(k): k for k in range(len(table.perm))}
-        pairs = {tuple(ids[_element_key(aut, w)] for w in uv) for uv in formed}
+        ids = {_row_key(table.perm, table.sec, k): k for k in range(len(table.perm))}
+        pairs = {tuple(ids[_key(aut, w)] for w in uv) for uv in formed}
         inv = table.inv
         assert all((inv[b], inv[a]) not in pairs or (inv[b], inv[a]) == (a, b)
                    for a, b in pairs)
@@ -572,7 +593,6 @@ def _check_table(aut, rng, monkeypatch, **caps):
         return None, 0, 0
     finally:
         monkeypatch.undo()
-    assert not aut._cache.get("key")
     table, = tables
     answers = {}                         # table length -> the pair table's answers
     for size, q, got in asked:
@@ -591,8 +611,8 @@ def _check_table(aut, rng, monkeypatch, **caps):
         for q in pairs:
             assert find(fresh, q) == want.get(q)
     assert len(table.perm) == len(nuc)
-    assert ({table.key(k) for k in range(len(nuc))}
-            == {_element_key(aut, _encode_word(aut, w)) for w in nuc})
+    assert ({_row_key(table.perm, table.sec, k) for k in range(len(nuc))}
+            == {_key(aut, _encode_word(aut, w)) for w in nuc})
     named = sum(got is not None for _, _, got in asked)
     return nuc, named, len(asked) - named
 
@@ -658,25 +678,24 @@ def test_first_words_match_the_shortest_reference_on_random_machines():
 def _check_acts_as(aut, rng, count):
     """The walk match against key equality, over a pool of seeded words.
 
-    Each word is matched against every distinct key with its level-one
-    permutation, so most matches that fail get past the root.  Returns how
-    many matches held and how many failed.
+    Each word is matched against the root row of every distinct key with
+    its level-one permutation, so most matches that fail get past the root.
+    Returns how many matches held and how many failed.
     """
     gens = [s for s in aut.states if s != aut.sink]
     letters = [(g, s) for g in gens for s in (1, -1)]
     pool = list(_code_words(aut, 2))
     pool += [_encode_word(aut, [rng.choice(letters) for _ in range(rng.randint(3, 8))])
              for _ in range(count)]
-    rows, n = aut.core().rows, len(aut.alphabet)
+    rows = aut.core().rows
+    keys = {word: _key(aut, word) for word in pool}
     by_perm = {}
-    for word in pool:
-        key = _element_key(aut, word)
-        by_perm.setdefault(key[:n], set()).add(key)
+    for key in keys.values():
+        by_perm.setdefault(key[0][0], set()).add(key)
     held = failed = 0
-    for word in pool:
-        own = _element_key(aut, word)
-        for key in by_perm[own[:n]]:
-            assert _acts_as(rows, n, word, key) == (key == own)
+    for word, own in keys.items():
+        for key in by_perm[own[0][0]]:
+            assert _acts_as(rows, word, *key, 0) == (key == own)
             held += key == own
             failed += key != own
     for word in pool[-3:]:
@@ -707,15 +726,26 @@ def test_walk_match_holds_exactly_when_the_keys_are_equal_on_random_machines():
     assert failed
 
 
-def test_key_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(selfsim.wordproblem, "MEMO_LIMIT", 10)
-    aut = builtin_automaton("fig5_tree")
-    words = _words_to_key(aut)
-    assert len(words) > 10
-    got = [shortest_representative(aut, w, 3) for w in words]
-    assert len(aut._cache["key"]) == 10
-    fresh = builtin_automaton("fig5_tree")
-    assert got == [shortest_representative(fresh, w, 3) for w in words]
+@pytest.mark.parametrize("name", BUILTINS + ("cycle_5",))
+def test_nucleus_words_act_as_their_own_rows(name, monkeypatch):
+    # each nucleus word is matched against every row of the nucleus's table
+    # with its level-one permutation, and holds at the one whose key is its own
+    tables = []
+    monkeypatch.setattr(selfsim.wordproblem, "_Elements", _recording_table(tables))
+    aut = builtin_automaton(name)
+    nuc = nucleus(aut)
+    table, = tables
+    perm, sec, rows = table.perm, table.sec, aut.core().rows
+    ids = {_row_key(perm, sec, e): e for e in range(len(perm))}
+    failed = 0
+    for w in nuc:
+        word = _encode_word(aut, w)
+        own = ids[_key(aut, word)]
+        for e in range(len(perm)):
+            if perm[e] == perm[own]:
+                assert _acts_as(rows, word, perm, sec, e) == (e == own)
+                failed += e != own
+    assert len(ids) == len(nuc) and failed
 
 
 # -- the reducibility scan's chain walk ----------------------------------------------

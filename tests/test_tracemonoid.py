@@ -156,6 +156,9 @@ def test_cycle_torsion_rejects_non_cycles(triangle_cyclic, fig5):
         check_cycle_torsion(triangle_cyclic, "a1 a1 a2", 3)
     with pytest.raises(BadGraph):
         check_cycle_torsion(fig5, "e1 e2", 2)
+    for k in (3.0, True):
+        with pytest.raises(BadGraph, match="cycle length must be an integer"):
+            check_cycle_torsion(triangle_cyclic, "a1 a2 a3", k)
 
 
 def test_square_cycle_torsion():

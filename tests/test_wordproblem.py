@@ -379,6 +379,14 @@ def test_dichotomy_free_pair_first_component():
     assert result.pair == (0, 1)
 
 
+def test_dichotomy_parses_word_text():
+    assert dichotomy([["a"]]) == dichotomy([[gw("a")]])
+    assert dichotomy([["a b", "c"], ["a b a b", "c^-1"]]).kind == "Abelian"
+    assert dichotomy([["a b", "c"], ["b a", ""]]) == ("FreePair", 0, (0, 1))
+    with pytest.raises(RaggedTuples):
+        dichotomy([["a b", "c"], ["a"]])
+
+
 def test_dichotomy_ragged():
     with pytest.raises(RaggedTuples):
         dichotomy([(gw("a"),), (gw("a"), gw("b"))])
