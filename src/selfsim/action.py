@@ -35,9 +35,24 @@ from .mealy import MealyAutomaton, symbol_str
 
 
 def free_reduce(letters):
-    """Cancel adjacent (g, +1)(g, -1) pairs; returns a tuple."""
+    """Cancel adjacent (g, +1)(g, -1) pairs; returns a tuple.
+
+    A letter that is not a (generator, +-1) pair, or a word that is not
+    iterable, is an UnknownGenerator, as it is on a machine (_encode_word).
+    """
+    try:
+        letters = iter(letters)
+    except TypeError:
+        raise UnknownGenerator("a word is a sequence of (generator, +-1) letters, not %r"
+                               % (letters,)) from None
     stack = []
-    for gen, sign in letters:
+    for item in letters:
+        try:
+            gen, sign = item
+        except (TypeError, ValueError):
+            gen = sign = None
+        if sign not in (1, -1):
+            raise UnknownGenerator("unknown generator %r" % (item,))
         if stack and stack[-1][0] == gen and stack[-1][1] == -sign:
             stack.pop()
         else:

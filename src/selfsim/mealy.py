@@ -331,21 +331,12 @@ def power(aut: MealyAutomaton, n: int) -> MealyAutomaton:
     return MealyAutomaton(states, aut.alphabet, next_map, out_map, sink=None)
 
 
-def _non_sink_edges(aut):
-    """Multidigraph on non-sink states: list of (s, t) with multiplicity."""
-    edges = []
-    for s in aut.states:
-        if s == aut.sink:
-            continue
-        for x in aut.alphabet:
-            t = aut.next(s, x)
-            if t != aut.sink:
-                edges.append((s, t))
-    return edges
-
-
 def _strongly_connected_components(nodes, succ):
-    """Iterative Kosaraju; components come out in a deterministic order."""
+    """Iterative Kosaraju: (component of each node, member lists).
+
+    The components come out in a deterministic topological order: an edge
+    between two components leads from the earlier to the later one.
+    """
     order = []
     seen = set()
     for root in nodes:
@@ -406,40 +397,27 @@ def is_bounded(aut: MealyAutomaton) -> bool:
     Criterion: in the transition multigraph restricted to non-sink states,
     every vertex of a cyclic strongly connected component has exactly one
     outgoing edge inside its component (so each such component is one simple
-    cycle), and no directed path joins two distinct cyclic components.
+    cycle), and no directed path joins two distinct cyclic components.  One
+    pass over the components in topological order carries, for each, whether
+    a cyclic component lies above it.
     """
     if aut.sink is None:
         raise NoSink("boundedness is defined relative to a declared sink")
-    nodes = [s for s in aut.states if s != aut.sink]
-    if not nodes:
-        return True
-    edges = _non_sink_edges(aut)
-    succ = {n: [] for n in nodes}
-    for s, t in edges:
-        succ[s].append(t)
-    comp, comps, cyclic = _cyclic_components(nodes, succ)
-    cyclic_set = set(cyclic)
-    for ci in cyclic:
-        for v in comps[ci]:
-            internal = sum(1 for t in succ[v] if comp[t] == ci)
-            if internal != 1:
-                return False
-    # condensation reachability between distinct cyclic components
-    comp_succ = {i: set() for i in range(len(comps))}
-    for s, t in edges:
-        if comp[s] != comp[t]:
-            comp_succ[comp[s]].add(comp[t])
-    for start in cyclic:
-        seen = set()
-        queue = deque(comp_succ[start])
-        while queue:
-            ci = queue.popleft()
-            if ci in seen:
-                continue
-            seen.add(ci)
-            if ci in cyclic_set:
-                return False
-            queue.extend(comp_succ[ci])
+    sink = aut.sink
+    succ = {s: [aut.next(s, x) for x in aut.alphabet if aut.next(s, x) != sink]
+            for s in aut.states if s != sink}
+    comp, comps = _strongly_connected_components(list(succ), succ)
+    above = [False] * len(comps)         # a cyclic component lies above
+    for ci, members in enumerate(comps):
+        # every member of a cyclic component has an edge inside it, so one
+        # edge each is len(members) edges inside
+        inside = sum(comp[t] == ci for v in members for t in succ[v])
+        if inside and (above[ci] or inside != len(members)):
+            return False
+        if inside or above[ci]:
+            for v in members:
+                for t in succ[v]:
+                    above[comp[t]] = True
     return True
 
 
@@ -462,50 +440,36 @@ def bisimulation_classes(aut: MealyAutomaton):
 def _refine_partition(outputs, succ):
     """Coarsest partition of 0..n-1 with equal outputs and equal successor blocks.
 
-    The blocks start as the classes of equal `outputs[i]` and are split by
-    the blocks of the successors `succ[i]`, the signature of a member,
-    until no block splits.  A block keeps its id across passes: when it
-    splits, its largest part keeps the id and the other parts take new
-    ones.  A signature changes only when a successor moves to a new block,
-    so after the first pass, which re-signs every block, a pass re-signs
-    only the blocks that hold a predecessor of a state moved in the pass
-    before it, as splitter refinement does (Valmari & Lehtinen, STACS
-    2008).  Only blocks of two or more states keep a member list, since a
-    singleton cannot split, and one scan of those lists finds the blocks to
-    re-sign, so no predecessor lists are kept.  The result is the coarsest
-    such partition, the one Moore refinement reaches, and it is returned as
-    the block of each index, blocks numbered in order of first occurrence.
+    Moore refinement (1956): the blocks start as the classes of equal
+    `outputs[i]`, and each pass splits every block of two or more states
+    by the blocks of its members' successors `succ[i]`, as the pass has
+    left them so far; equal states are never parted.  A one-state block
+    cannot split, so it leaves the passes.  The loop stops after a pass
+    that splits nothing.  A split block's first part keeps its id, the
+    other parts take new ones, and the blocks are returned as the block of
+    each index, numbered in order of first occurrence.
     """
     ids = {}
     block = [ids.setdefault(out, len(ids)) for out in outputs]
-    count, members = len(ids), {}        # members of the blocks that can split
+    count, members = len(ids), {}
     for i, b in enumerate(block):
         members.setdefault(b, []).append(i)
-    members = {b: group for b, group in members.items() if len(group) > 1}
-    dirty = list(members)
-    while dirty:
-        moved = bytearray(len(block))
-        for b in dirty:
+    live = [group for group in members.values() if len(group) > 1]
+    at, split = block.__getitem__, True
+    while split:
+        split, kept = False, []
+        for group in live:
             parts = {}
-            for i in members[b]:
-                parts.setdefault(tuple(map(block.__getitem__, succ[i])), []).append(i)
-            if len(parts) == 1:
-                continue
-            parts = sorted(parts.values(), key=len, reverse=True)
+            for i in group:
+                parts.setdefault(tuple(map(at, succ[i])), []).append(i)
+            parts = list(parts.values())
             for part in parts[1:]:
                 for i in part:
                     block[i] = count
-                    moved[i] = 1
-                if len(part) > 1:
-                    members[count] = part
                 count += 1
-            if len(parts[0]) > 1:
-                members[b] = parts[0]
-            else:
-                del members[b]
-        reached = moved.__getitem__
-        dirty = [b for b, group in members.items()
-                 if any(any(map(reached, succ[i])) for i in group)] if 1 in moved else ()
+            split = split or len(parts) > 1
+            kept += [part for part in parts if len(part) > 1]
+        live = kept
     ids = {}
     return [ids.setdefault(b, len(ids)) for b in block]
 

@@ -294,11 +294,8 @@ def exponent_sums(w, generators):
     Takes word text (parsed by parse_word), a GroupWord or a sequence of
     (generator, +-1) letters.
     """
-    if isinstance(w, str):
-        w = parse_word(w)
-    letters = w.letters if isinstance(w, GroupWord) else tuple(w)
     sums = {g: 0 for g in generators}
-    for g, s in letters:
+    for g, s in _group_word(w):
         if g in sums:
             sums[g] += s
     return tuple(sums[g] for g in generators)
@@ -579,10 +576,9 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
                        for q in zip(sec[i], map(sec[j].__getitem__, perm[i]))):
                     continue                 # a one-node graph: nothing recurs
                 w0 = _product(reps[i], reps[j])
-                # residual graph of the product outside the current set
+                # residual graph of the product outside the current set: its
+                # nodes in discovery order, each with its pair, and its edges
                 pair = {w0: (i, j)}
-                nodes = [w0]
-                node_set = {w0}
                 succ = {}
                 frontier = [w0]
                 levels = 0
@@ -603,14 +599,12 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
                                 continue
                             r = _step_word(rows, wl, x)[1]
                             out.append(r)
-                            if r not in node_set:
-                                node_set.add(r)
-                                nodes.append(r)
-                                nxt.append(r)
+                            if r not in pair:
                                 pair[r] = q
+                                nxt.append(r)
                     frontier = nxt
-                recurring = _cycle_reachable(nodes, node_set, succ)
-                if len(nodes) - len(recurring) > depth_cap:
+                recurring = _cycle_reachable(list(pair), pair, succ)
+                if len(pair) - len(recurring) > depth_cap:
                     owed.add((inv[j], inv[i]))
                 if recurring:
                     for ls in table.adjoin(recurring, pair, succ):

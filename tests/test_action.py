@@ -87,6 +87,15 @@ def test_free_reduce_is_idempotent():
         assert free_reduce(once) == once
 
 
+def test_group_word_refuses_a_letter_that_is_not_a_signed_generator():
+    # a bare generator, a sign other than +-1 and a non-iterable word are refused
+    # as they are on a machine, where _encode_word meets the same items
+    for word in (["a"], [("a", 2)], [("a", 1, 1)], [5], 5):
+        with pytest.raises(UnknownGenerator):
+            GroupWord(word)
+    assert GroupWord([["a", 1], ("a", -1), ("b", -1)]).letters == (("b", -1),)
+
+
 # -- apply -------------------------------------------------------------------
 
 def test_apply_star_state_a(star):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -31,6 +32,7 @@ from selfsim.errors import (
     NoSink,
     NotInvertible,
 )
+from selfsim.mealy import _cyclic_components
 
 STAR_RECORDS = [
     ("a", "0", "a", "1"), ("a", "1", "id", "0"), ("a", "2", "id", "2"), ("a", "3", "id", "3"),
@@ -289,6 +291,64 @@ def test_path_joining_two_cycles_unbounded():
 def test_is_bounded_requires_sink(star):
     with pytest.raises(NoSink):
         is_bounded(dual(star))
+
+
+def _reference_is_bounded(aut):
+    """is_bounded by condensation reachability: a search from each cyclic component."""
+    nodes = [s for s in aut.states if s != aut.sink]
+    edges = [(s, aut.next(s, x)) for s in nodes for x in aut.alphabet
+             if aut.next(s, x) != aut.sink]
+    succ = {n: [] for n in nodes}
+    for s, t in edges:
+        succ[s].append(t)
+    comp, comps, cyclic = _cyclic_components(nodes, succ)
+    for ci in cyclic:
+        for v in comps[ci]:
+            if sum(1 for t in succ[v] if comp[t] == ci) != 1:
+                return False
+    comp_succ = {i: set() for i in range(len(comps))}
+    for s, t in edges:
+        if comp[s] != comp[t]:
+            comp_succ[comp[s]].add(comp[t])
+    for start in cyclic:
+        seen = set()
+        queue = deque(comp_succ[start])
+        while queue:
+            ci = queue.popleft()
+            if ci in seen:
+                continue
+            seen.add(ci)
+            if ci in cyclic:
+                return False
+            queue.extend(comp_succ[ci])
+    return True
+
+
+def _random_sink_machine(rng):
+    """1-7 states and a sink over 2-3 copying letters; many arrows go to the sink."""
+    states = ["q%d" % i for i in range(rng.randint(1, 7))]
+    alphabet = [str(x) for x in range(rng.randint(2, 3))]
+    to_sink = rng.uniform(0.3, 0.8)
+    records = [(s, x, "e" if rng.random() < to_sink else rng.choice(states), x)
+               for s in states for x in alphabet]
+    records += [("e", x, "e", x) for x in alphabet]
+    return make_automaton(states + ["e"], alphabet, records, sink="e")
+
+
+def test_is_bounded_matches_the_condensation_search():
+    # reading the components in reverse topological order fails this test
+    rng = random.Random(1984)
+    unbounded = apart = 0                # apart: bounded, with several cyclic components
+    for _ in range(20000):
+        aut = _random_sink_machine(rng)
+        bounded = is_bounded(aut)
+        assert bounded == _reference_is_bounded(aut)
+        unbounded += not bounded
+        nodes = [s for s in aut.states if s != aut.sink]
+        succ = {s: [aut.next(s, x) for x in aut.alphabet if aut.next(s, x) != aut.sink]
+                for s in nodes}
+        apart += bounded and len(_cyclic_components(nodes, succ)[2]) > 1
+    assert unbounded > 3000 and apart > 500
 
 
 def sink_avoiding_path_count(aut, n):

@@ -1,21 +1,24 @@
-"""Partition refinement checked against the Moore loop it replaced.
+"""Partition refinement checked against plain Moore refinement.
 
-`mealy._refine_partition` re-signs, after its first pass, only the blocks
-that hold a predecessor of a state moved in the pass before.  Moore
-refinement, kept below as the reference, re-signs every state in every
-pass until the block count stops changing.  Both must return the same
-list: the coarsest partition, blocks numbered by first occurrence.  The
-inputs are seeded random (outputs, succ) tables with self-loops,
-singleton blocks, partitions stable from the start and chains that split
-one block per pass, and `bisimulation_classes` is compared on seeded
-random machines.
+`mealy._refine_partition` runs Moore passes over the blocks of two or more
+states only: a one-state block cannot split, so it leaves the passes.
+Plain Moore refinement, kept below as the reference, re-signs every state
+in every pass until the block count stops changing.  Both must return the
+same list: the coarsest partition, blocks numbered by first occurrence.
+The inputs are seeded random (outputs, succ) tables with self-loops,
+singleton blocks, partitions stable from the start, chains that split one
+block per pass, many chains whose equal multi-state blocks split late, and
+the tables that `wordproblem._minimal_machine` builds for seeded `aleshin`
+words, where residuals leave the passes one by one until each is its own
+class; `bisimulation_classes` is compared on seeded random machines.
 """
 
 import random
 
 import pytest
 
-from selfsim import bisimulation_classes, make_automaton
+from selfsim import bisimulation_classes, builtin_automaton, make_automaton, wordproblem
+from selfsim.action import _encode_word
 from selfsim.mealy import _refine_partition
 
 
@@ -96,6 +99,69 @@ def test_refinement_matches_moore_on_chains(n):
     got = _refine_partition(outputs, succ)
     assert got == _moore(outputs, succ)
     assert got == list(range(n))
+
+
+def _late_splits(rng):
+    """Chains with equal outputs but for their ends, states shuffled, and their class count.
+
+    The states at one depth of chains whose ends differ share a block
+    until the pass that reaches that depth, and chains whose ends agree
+    stay in one block, so many blocks of several states split late: one
+    class per depth and distinct end.
+    """
+    length, chains, ends = rng.randint(2, 40), rng.randint(2, 30), rng.randint(1, 4)
+    place = list(range(length * chains))
+    rng.shuffle(place)
+    outputs, succ, seen = [None] * len(place), [None] * len(place), set()
+    for c in range(chains):
+        end = 1 + rng.randrange(ends)
+        seen.add(end)
+        for k in range(length):
+            i = place[c * length + k]
+            outputs[i] = end if k == length - 1 else 0
+            succ[i] = [place[c * length + min(k + 1, length - 1)], i]
+    return outputs, succ, length * len(seen)
+
+
+def test_refinement_matches_moore_on_late_splits():
+    rng = random.Random(1956)
+    for _ in range(100):
+        outputs, succ, classes = _late_splits(rng)
+        got = _refine_partition(outputs, succ)
+        assert got == _moore(outputs, succ)
+        assert max(got) + 1 == classes
+
+
+def _aleshin_tables(monkeypatch, lengths, seed):
+    """The (outputs, succ) table _minimal_machine refines for one seeded aleshin word per length."""
+    aut = builtin_automaton("aleshin")
+    gens = [s for s in aut.states if s != aut.sink]
+    rng = random.Random(seed)
+    tables = []
+
+    def record(outputs, succ):
+        tables.append((outputs, succ))
+        return _refine_partition(outputs, succ)
+
+    monkeypatch.setattr(wordproblem, "_refine_partition", record)
+    for n in lengths:
+        word = []
+        while len(word) < n:
+            letter = (rng.choice(gens), rng.choice((1, -1)))
+            if not word or word[-1] != (letter[0], -letter[1]):
+                word.append(letter)
+        wordproblem._minimal_machine(aut, [_encode_word(aut, word)])
+    return tables
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_refinement_matches_moore_on_aleshin_residuals(monkeypatch, seed):
+    # aleshin is free: every residual of a word is its own element, so the
+    # blocks split down to single states, leaving the passes one by one
+    for outputs, succ in _aleshin_tables(monkeypatch, [7, 8, 9], seed):
+        got = _refine_partition(outputs, succ)
+        assert got == _moore(outputs, succ)
+        assert got == list(range(len(outputs))) and len(set(outputs)) < len(outputs)
 
 
 def _random_machine(rng):

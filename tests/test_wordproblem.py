@@ -33,6 +33,7 @@ from selfsim.errors import (
     NotInStabilizer,
     QuotientTooLarge,
     RaggedTuples,
+    UnknownGenerator,
 )
 
 from test_mealy import make_identity_automaton
@@ -330,6 +331,11 @@ def test_exponent_sums_of_word_text(star):
     assert exponent_sums("a a b^-1 c", gens) == (2, -1, 1)
 
 
+def test_exponent_sums_refuse_a_word_that_is_not_iterable():
+    with pytest.raises(UnknownGenerator):
+        exponent_sums(5, ["a"])
+
+
 # -- reducibility -----------------------------------------------------------------------------------
 
 def test_check_reducible_fixtures(star, basilica, demo):
@@ -385,6 +391,23 @@ def test_dichotomy_parses_word_text():
     assert dichotomy([["a b", "c"], ["b a", ""]]) == ("FreePair", 0, (0, 1))
     with pytest.raises(RaggedTuples):
         dichotomy([["a b", "c"], ["a"]])
+
+
+def test_dichotomy_refuses_a_letter_whose_sign_is_not_one():
+    # a^2 and a^-1 commute: read as a letter, ("a", 2) would not cancel
+    # against ("a", -1) and the answer would be a false FreePair
+    with pytest.raises(UnknownGenerator):
+        dichotomy([[[("a", 2)]], [[("a", -1)]]])
+
+
+def test_dichotomy_refuses_a_component_that_is_not_a_word():
+    with pytest.raises(UnknownGenerator):
+        dichotomy([[1]])
+
+
+def test_nucleus_membership_refuses_a_word_that_is_not_iterable():
+    with pytest.raises(UnknownGenerator):
+        5 in nucleus(builtin_automaton("basilica"))
 
 
 def test_dichotomy_ragged():
