@@ -157,18 +157,22 @@ def _encode_word(aut: MealyAutomaton, w):
     else:
         table, items = core.codes, w.letters if isinstance(w, GroupWord) else w
     stack = []
-    for item in items:
-        c = table.get(item)
-        if c is None:
-            if table is core.tokens:
-                raise UnknownGenerator("unknown generator %r"
-                                       % (item[:-3] if item.endswith("^-1") else item))
-            c = _bare_state_code(core, item)
-        if c:
-            if stack and stack[-1] == -c:
-                stack.pop()
-            else:
-                stack.append(c)
+    try:
+        for item in items:
+            c = table.get(item)
+            if c is None:
+                if table is core.tokens:
+                    raise UnknownGenerator("unknown generator %r"
+                                           % (item[:-3] if item.endswith("^-1") else item))
+                c = _bare_state_code(core, item)
+            if c:
+                if stack and stack[-1] == -c:
+                    stack.pop()
+                else:
+                    stack.append(c)
+    except TypeError:                    # not iterable, or a letter that is not hashable
+        raise UnknownGenerator("a word is a string or a sequence of generators, not %r"
+                               % (w,)) from None
     return tuple(stack)
 
 
@@ -217,11 +221,15 @@ def _letter_indices(aut: MealyAutomaton, u):
         u = u.split()
     aidx = aut._aidx
     out = []
-    for x in u:
-        i = aidx.get(x)
-        if i is None:
-            raise AlphabetMismatch("letter %r is not in the alphabet" % (x,))
-        out.append(i)
+    try:
+        for x in u:
+            i = aidx.get(x)
+            if i is None:
+                raise AlphabetMismatch("letter %r is not in the alphabet" % (x,))
+            out.append(i)
+    except TypeError:                    # not iterable, or a letter that is not hashable
+        raise AlphabetMismatch("an input word is a string or a sequence of letters, not %r"
+                               % (u,)) from None
     return tuple(out)
 
 
@@ -612,14 +620,15 @@ class DualPath(namedtuple("DualPath", "start inputs outputs vertices")):
 
 def positive_state_word(aut: MealyAutomaton, u):
     """Coerce a positive word over the states (sink allowed, kept)."""
-    if isinstance(u, str):
-        u = tuple(u.split())
-    else:
-        u = tuple(u)
-    for a in u:
-        if a not in aut._sidx:
-            raise UnknownGenerator("unknown state %r" % (a,))
-    return u
+    try:
+        word = tuple(u.split() if isinstance(u, str) else u)
+        for a in word:
+            if a not in aut._sidx:
+                raise UnknownGenerator("unknown state %r" % (a,))
+    except TypeError:                    # not iterable, or a state that is not hashable
+        raise UnknownGenerator("a positive word is a string or a sequence of states, not %r"
+                               % (u,)) from None
+    return word
 
 
 def dual_path(aut: MealyAutomaton, x, u) -> DualPath:

@@ -11,7 +11,6 @@ name mangling, so inverting twice gives back the original token and machines
 stay exactly comparable.
 """
 
-from collections import deque
 import itertools
 
 from .errors import (
@@ -102,9 +101,11 @@ class MealyAutomaton:
                     raise FormatError(
                         "transition (%s, %s) outputs undeclared letter %s"
                         % (symbol_str(s), symbol_str(x), symbol_str(self._out[key])))
-        if len(self._next) != len(self.states) * len(self.alphabet):
-            extra = set(self._next) - set(itertools.product(self.states, self.alphabet))
-            raise FormatError("transitions outside states x alphabet: %r" % (sorted(map(str, extra)),))
+        for table in (self._next, self._out):
+            if len(table) != len(self.states) * len(self.alphabet):
+                extra = set(table) - set(itertools.product(self.states, self.alphabet))
+                raise FormatError("transitions outside states x alphabet: %r"
+                                  % (sorted(map(str, extra)),))
         self.sink = sink
         if sink is not None:
             if sink not in sset:
@@ -331,94 +332,54 @@ def power(aut: MealyAutomaton, n: int) -> MealyAutomaton:
     return MealyAutomaton(states, aut.alphabet, next_map, out_map, sink=None)
 
 
-def _strongly_connected_components(nodes, succ):
-    """Iterative Kosaraju: (component of each node, member lists).
+def _trim(nodes, succ, both=False):
+    """The nodes on or below a cycle of `succ`, in input order.
 
-    The components come out in a deterministic topological order: an edge
-    between two components leads from the earlier to the later one.
+    Deletes, while there is one, a node with no arc in from a node still
+    left.  With `both`, the same trim then runs on the reversed arcs among
+    the nodes left, so that those left are also on or above a cycle.  Arcs
+    count with multiplicity, so a self-loop keeps its node.  Every arc must
+    lead to one of `nodes`.
     """
-    order = []
-    seen = set()
-    for root in nodes:
-        if root in seen:
-            continue
-        stack = [(root, iter(succ[root]))]
-        seen.add(root)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    pred = {n: [] for n in nodes}
-    for n in nodes:
-        for m in succ[n]:
-            pred[m].append(n)
-    comp = {}
-    comps = []
-    for root in reversed(order):
-        if root in comp:
-            continue
-        current = [root]
-        comp[root] = len(comps)
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            for m in pred[node]:
-                if m not in comp:
-                    comp[m] = len(comps)
-                    current.append(m)
-                    queue.append(m)
-        comps.append(current)
-    return comp, comps
-
-
-def _cyclic_components(nodes, succ):
-    """Kosaraju components plus the indices of the cyclic ones.
-
-    A component is cyclic when it has more than one member or its single
-    member has a self-loop.
-    """
-    comp, comps = _strongly_connected_components(nodes, succ)
-    cyclic = [ci for ci, members in enumerate(comps)
-              if len(members) > 1 or members[0] in succ[members[0]]]
-    return comp, comps, cyclic
+    arcs_in = dict.fromkeys(nodes, 0)
+    for v in nodes:
+        for t in succ[v]:
+            arcs_in[t] += 1
+    doomed = [v for v in nodes if not arcs_in[v]]
+    while doomed:                        # a count reaches 0 once, so no node twice
+        for t in succ[doomed.pop()]:
+            arcs_in[t] -= 1
+            if not arcs_in[t]:
+                doomed.append(t)
+    left = [v for v in nodes if arcs_in[v]]
+    if both:
+        pred = {v: [] for v in left}
+        for v in left:
+            for t in succ[v]:
+                if t in pred:
+                    pred[t].append(v)
+        left = _trim(left, pred)
+    return left
 
 
 def is_bounded(aut: MealyAutomaton) -> bool:
     """Sink-avoiding path counts stay bounded.
 
-    Criterion: in the transition multigraph restricted to non-sink states,
-    every vertex of a cyclic strongly connected component has exactly one
-    outgoing edge inside its component (so each such component is one simple
-    cycle), and no directed path joins two distinct cyclic components.  One
-    pass over the components in topological order carries, for each, whether
-    a cyclic component lies above it.
+    Sidki's circuit criterion: in the transition multigraph restricted to
+    non-sink states, the cycles are disjoint and no path joins one cycle to
+    another.  The states both below and above a cycle are left by the
+    two-sided trim; the criterion holds iff each of them has exactly one
+    transition to a state that is left.  Those states then make disjoint
+    simple cycles, and a path from one cycle to another would give a state
+    on the first a second such transition.
     """
     if aut.sink is None:
         raise NoSink("boundedness is defined relative to a declared sink")
     sink = aut.sink
     succ = {s: [aut.next(s, x) for x in aut.alphabet if aut.next(s, x) != sink]
             for s in aut.states if s != sink}
-    comp, comps = _strongly_connected_components(list(succ), succ)
-    above = [False] * len(comps)         # a cyclic component lies above
-    for ci, members in enumerate(comps):
-        # every member of a cyclic component has an edge inside it, so one
-        # edge each is len(members) edges inside
-        inside = sum(comp[t] == ci for v in members for t in succ[v])
-        if inside and (above[ci] or inside != len(members)):
-            return False
-        if inside or above[ci]:
-            for v in members:
-                for t in succ[v]:
-                    above[comp[t]] = True
-    return True
+    left = set(_trim(list(succ), succ, both=True))
+    return all(sum(t in left for t in succ[v]) == 1 for v in left)
 
 
 def bisimulation_classes(aut: MealyAutomaton):

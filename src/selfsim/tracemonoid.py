@@ -20,7 +20,7 @@ from .errors import (
 )
 from .graphgroup import OrientedGraph, is_tree, line_graph_complement
 from .limits import check_int
-from .mealy import MealyAutomaton, _cyclic_components
+from .mealy import MealyAutomaton, _trim
 from .wordproblem import _closure_scan, is_identity
 
 
@@ -273,8 +273,7 @@ def _require_no_directed_cycle(orient):
     for tail, head in orient.values():
         succ.setdefault(tail, []).append(head)
         succ.setdefault(head, [])
-    _, _, cyclic = _cyclic_components(list(succ), succ)
-    if cyclic:
+    if _trim(list(succ), succ):
         raise BadGraph("orientation has a directed cycle")
 
 

@@ -8,7 +8,7 @@ identities level by level), nucleus computation, the reducibility scan,
 the symmetric level-one quotient and the abelian-or-free dichotomy.
 """
 
-from collections import deque, namedtuple
+from collections import namedtuple
 
 import itertools
 
@@ -49,7 +49,7 @@ from .limits import (
     MEMO_LIMIT,
     check_int,
 )
-from .mealy import MealyAutomaton, _cyclic_components, _refine_partition
+from .mealy import MealyAutomaton, _refine_partition, _trim
 
 
 class WpVerdict(namedtuple("WpVerdict", "decision witness certificate method")):
@@ -246,7 +246,6 @@ def wp_fragile(aut: MealyAutomaton, w, kmax: int, cap=None) -> WpVerdict:
         return WpVerdict("Identity", None, (k,), "fragile")
     _require_invertible_for(aut, word)
     for j in range(1, kmax + 1):
-        check_level_cap(aut, j, cap)
         if not _level_walk(aut, word, j, False):
             # no word shorter than j moves, so the shortest moved word has length j
             witness = _closure_scan(aut, [word], True, keep_perms=False)[0]
@@ -815,19 +814,8 @@ class _Elements:
 
 
 def _cycle_reachable(nodes, node_set, succ):
-    """Words lying on a residual cycle or reachable from one, discovery order."""
-    if len(nodes) == 1 and nodes[0] not in succ[nodes[0]]:
-        return []
-    inner = {node: [r for r in succ[node] if r in node_set] for node in nodes}
-    _, comps, cyclic = _cyclic_components(nodes, inner)
-    persistent = {node for ci in cyclic for node in comps[ci]}
-    queue = deque(persistent)
-    while queue:
-        for r in inner[queue.popleft()]:
-            if r not in persistent:
-                persistent.add(r)
-                queue.append(r)
-    return [node for node in nodes if node in persistent]
+    """Words lying on a residual cycle or reachable from one, in input order."""
+    return _trim(nodes, {node: [r for r in succ[node] if r in node_set] for node in nodes})
 
 
 # -- reducibility scan ---------------------------------------------------------

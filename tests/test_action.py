@@ -20,6 +20,7 @@ from selfsim import (
     format_word,
     fragile_index,
     fragile_member,
+    is_identity,
     level1_permutation,
     load_action,
     loops_at,
@@ -27,6 +28,7 @@ from selfsim import (
     power,
     reduce_word,
     restrict_word,
+    semigroup_eq_via_action,
     shortest_representative,
     stabilizes_level,
     transposition_word,
@@ -96,6 +98,14 @@ def test_group_word_refuses_a_letter_that_is_not_a_signed_generator():
     assert GroupWord([["a", 1], ("a", -1), ("b", -1)]).letters == (("b", -1),)
 
 
+def test_machine_word_that_is_not_a_sequence_of_generators_is_refused(basilica):
+    # _encode_word refuses a word that is not iterable or a letter that is not hashable
+    for call in (lambda: is_identity(basilica, 5), lambda: wreath(basilica, None),
+                 lambda: is_identity(basilica, [["a", 1]])):
+        with pytest.raises(UnknownGenerator):
+            call()
+
+
 # -- apply -------------------------------------------------------------------
 
 def test_apply_star_state_a(star):
@@ -113,6 +123,12 @@ def test_apply_composes_leftmost_first(star):
 def test_apply_alphabet_mismatch(star):
     with pytest.raises(AlphabetMismatch):
         apply_word(star, "a", "0 9")
+
+
+def test_input_word_that_is_not_a_sequence_of_letters_is_refused(basilica):
+    for u in (5, [["0"]]):
+        with pytest.raises(AlphabetMismatch):
+            apply_word(basilica, "a", u)
 
 
 # -- restrict ------------------------------------------------------------------
@@ -411,6 +427,13 @@ def test_dual_path_loop_at_non_endpoint(star):
 def test_dual_path_unknown_letter(star):
     with pytest.raises(AlphabetMismatch):
         dual_path(star, "9", "a")
+
+
+def test_positive_word_that_is_not_a_sequence_of_states_is_refused(basilica, star):
+    for call in (lambda: dual_path(basilica, "0", 5),
+                 lambda: semigroup_eq_via_action(star, [["a"]], ["a"])):
+        with pytest.raises(UnknownGenerator):
+            call()
 
 
 # -- loops_at -------------------------------------------------------------------------------

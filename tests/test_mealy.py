@@ -32,7 +32,8 @@ from selfsim.errors import (
     NoSink,
     NotInvertible,
 )
-from selfsim.mealy import _cyclic_components
+from selfsim.mealy import MealyAutomaton, _trim
+from selfsim.wordproblem import _cycle_reachable
 
 STAR_RECORDS = [
     ("a", "0", "a", "1"), ("a", "1", "id", "0"), ("a", "2", "id", "2"), ("a", "3", "id", "3"),
@@ -293,6 +294,35 @@ def test_is_bounded_requires_sink(star):
         is_bounded(dual(star))
 
 
+def _reach(succ, v):
+    """The nodes reached from v by a path of one or more arcs."""
+    seen, stack = set(), list(succ[v])
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen.add(t)
+            stack.extend(succ[t])
+    return seen
+
+
+def _mutual_components(nodes, succ):
+    """Strongly connected components by mutual reachability, for the references.
+
+    Returns the component of each node, the member lists and the indices of
+    the cyclic components, whose members reach themselves.
+    """
+    reach = {v: _reach(succ, v) for v in nodes}
+    comp, comps = {}, []
+    for v in nodes:
+        if v not in comp:
+            members = [u for u in nodes if u == v or u in reach[v] and v in reach[u]]
+            for u in members:
+                comp[u] = len(comps)
+            comps.append(members)
+    cyclic = [ci for ci, members in enumerate(comps) if members[0] in reach[members[0]]]
+    return comp, comps, cyclic
+
+
 def _reference_is_bounded(aut):
     """is_bounded by condensation reachability: a search from each cyclic component."""
     nodes = [s for s in aut.states if s != aut.sink]
@@ -301,7 +331,7 @@ def _reference_is_bounded(aut):
     succ = {n: [] for n in nodes}
     for s, t in edges:
         succ[s].append(t)
-    comp, comps, cyclic = _cyclic_components(nodes, succ)
+    comp, comps, cyclic = _mutual_components(nodes, succ)
     for ci in cyclic:
         for v in comps[ci]:
             if sum(1 for t in succ[v] if comp[t] == ci) != 1:
@@ -336,7 +366,7 @@ def _random_sink_machine(rng):
 
 
 def test_is_bounded_matches_the_condensation_search():
-    # reading the components in reverse topological order fails this test
+    # a trim of one side only, keeping the states below a cycle, fails this test
     rng = random.Random(1984)
     unbounded = apart = 0                # apart: bounded, with several cyclic components
     for _ in range(20000):
@@ -347,8 +377,36 @@ def test_is_bounded_matches_the_condensation_search():
         nodes = [s for s in aut.states if s != aut.sink]
         succ = {s: [aut.next(s, x) for x in aut.alphabet if aut.next(s, x) != aut.sink]
                 for s in nodes}
-        apart += bounded and len(_cyclic_components(nodes, succ)[2]) > 1
+        apart += bounded and len(_mutual_components(nodes, succ)[2]) > 1
     assert unbounded > 3000 and apart > 500
+
+
+def test_trim_matches_reachability():
+    # v is on or below a cycle iff some u with u in reach+(u) has v = u or v
+    # in reach+(u); on or above one iff v = u or u in reach+(v).  A trim that
+    # deletes the nodes with no arc in once, without repeating, fails this test
+    rng = random.Random(2000)
+    proper = 0                           # cases where each trim keeps some nodes and drops some
+    for _ in range(3000):
+        nodes = ["v%d" % i for i in range(rng.randint(1, 12))]
+        rng.shuffle(nodes)
+        targets = nodes + ["w0", "w1"]   # w0 and w1 lie outside node_set
+        succ = {v: [rng.choice(targets) for _ in range(rng.randint(0, 3))] for v in nodes}
+        for v in nodes:
+            if succ[v] and rng.random() < 0.2:
+                succ[v].append(succ[v][0])       # a repeated arc
+            if rng.random() < 0.1:
+                succ[v].append(v)                # a self-loop
+        node_set = set(nodes)
+        inner = {v: [t for t in succ[v] if t in node_set] for v in nodes}
+        reach = {v: _reach(inner, v) for v in nodes}
+        cyclic = [u for u in nodes if u in reach[u]]
+        below = [v for v in nodes if any(v == u or v in reach[u] for u in cyclic)]
+        both = [v for v in below if any(v == u or u in reach[v] for u in cyclic)]
+        assert _cycle_reachable(nodes, node_set, succ) == below
+        assert _trim(nodes, inner, both=True) == both
+        proper += 0 < len(both) < len(below) < len(nodes)
+    assert proper > 1000
 
 
 def sink_avoiding_path_count(aut, n):
@@ -421,6 +479,18 @@ def test_load_rejects_unknown_field():
     text = dump_automaton(make_identity_automaton()) + "color: blue\n"
     with pytest.raises(FormatError):
         load_automaton(text)
+
+
+def test_transition_keys_outside_states_x_alphabet_are_refused(basilica):
+    # an extra output key made a machine unequal to basilica that hashed equal to it
+    next_map = {(s, x): basilica.next(s, x) for s in basilica.states for x in basilica.alphabet}
+    out_map = {(s, x): basilica.out(s, x) for s in basilica.states for x in basilica.alphabet}
+    args = basilica.states, basilica.alphabet
+    assert MealyAutomaton(*args, next_map, out_map, sink=basilica.sink) == basilica
+    for maps in (({**next_map, ("zz", "0"): "a"}, out_map),
+                 (next_map, {**out_map, ("zz", "0"): "0"})):
+        with pytest.raises(FormatError, match="outside states x alphabet"):
+            MealyAutomaton(*args, *maps, sink=basilica.sink)
 
 
 def test_load_rejects_bad_lines():

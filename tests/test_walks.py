@@ -7,8 +7,8 @@ decider must answer as that scan does and memoize only the words that fix
 level one; the level method's witness is the
 shortlex-first moved word; the positive-word oracle steps
 through the group-word step function; acyclicity and nucleus persistence
-use the one SCC routine; the spanning tree is read off the coset graph's
-arcs.
+use the one cycle-trimming routine; the spanning tree is read off the
+coset graph's arcs.
 """
 
 import itertools
@@ -398,7 +398,7 @@ def test_positive_oracle_against_the_action(star, fig5):
 
 
 @pytest.mark.parametrize("name", ["triangle_cyclic", "non_reducible_demo"])
-def test_directed_cycle_found_by_the_scc_routine(name):
+def test_directed_cycle_found_by_the_trim(name):
     # non_reducible_demo orients its one edge state as a self-loop at letter 2
     with pytest.raises(BadGraph):
         check_acyclic_no_positive_identity(builtin_automaton(name), 2)
