@@ -631,10 +631,19 @@ def positive_state_word(aut: MealyAutomaton, u):
     return word
 
 
+def _require_letter(aut, x):
+    """Refuse x unless it is a letter of the alphabet; an unhashable x is none."""
+    try:
+        known = x in aut._aidx
+    except TypeError:
+        known = False
+    if not known:
+        raise AlphabetMismatch("letter %r is not in the alphabet" % (x,))
+
+
 def dual_path(aut: MealyAutomaton, x, u) -> DualPath:
     """Walk the dual machine from letter x reading the positive word u."""
-    if x not in aut._aidx:
-        raise AlphabetMismatch("letter %r is not in the alphabet" % (x,))
+    _require_letter(aut, x)
     u = positive_state_word(aut, u)
     vertices = [x]
     outputs = []
@@ -650,8 +659,7 @@ def loops_at(aut: MealyAutomaton, x):
     """States looping at letter x with sink output: the sink and the states not moving x."""
     if aut.sink is None:
         raise NoSink("loops_at needs a declared sink")
-    if x not in aut._aidx:
-        raise AlphabetMismatch("letter %r is not in the alphabet" % (x,))
+    _require_letter(aut, x)
     return tuple(s for s in aut.states
                  if aut.out(s, x) == x and aut.next(s, x) == aut.sink)
 

@@ -396,11 +396,11 @@ def _first_words(aut, perm, sec, ids, max_len):
     element with that permutation.  action._hit_sweep, with a hit that is
     always true, lists the words up to length max_len - 1, each with its
     permutation, and that last level is kept.  The last length is not
-    swept: a prefix is extended only by the letters c with step(prefix
-    permutation, c) a wanted permutation, looked up in a table of
-    step(wanted, -c), in prefix order and then letter order, which is the
-    sweep's own order.  Ids without such a word are missing from the
-    result.  The machine must be invertible, so -c undoes c.
+    swept: a table maps each permutation step(wanted, -c) to its pairs (c,
+    wanted), in letter order, and a prefix is extended only by the letters
+    of its permutation's pairs, in prefix order and then letter order,
+    which is the sweep's own order.  Ids without such a word are missing
+    from the result.  The machine must be invertible, so -c undoes c.
     """
     rows, n = aut.core().rows, len(aut.alphabet)
     signed, inverse = _signed_codes(_gen_codes(aut))
@@ -435,18 +435,15 @@ def _first_words(aut, perm, sec, ids, max_len):
             return found
         if len(candidate) == max_len - 1:
             last.append((candidate, image))
-    ends = {}
-    for image in wanted:
-        for c in signed:
-            ends.setdefault(step(image, -c), set()).add(c)
+    ends = {}                            # prefix permutation -> (c, wanted permutation)
+    for c in signed:
+        for image in wanted:
+            ends.setdefault(step(image, -c), []).append((c, image))
     for prefix, image in last:
-        allowed = ends.get(image, ())
         back = inverse[prefix[-1]] if prefix else None
-        for c in signed:
-            if c in allowed and c != back:
-                after = step(image, c)
-                if after in wanted and take(prefix + (c,), after):
-                    return found
+        for c, after in ends.get(image, ()):
+            if c != back and after in wanted and take(prefix + (c,), after):
+                return found
     return found
 
 
@@ -486,10 +483,10 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     """Smallest restriction- and inverse-closed set the pair products fall back into.
 
     Seeded with the identity, the states and their inverses, closed under
-    residuals; then, for every pair product, residual chains are followed
-    until they re-enter the set, and the recurring elements (those on or
-    past a residual cycle) are adjoined.  Caps turn non-stabilization into
-    an error instead of a hang.
+    residuals; then, for each product of an element and a state or inverse
+    state, residual chains are followed until they re-enter the set, and
+    the recurring elements (those on or past a residual cycle) are
+    adjoined.  Caps turn non-stabilization into an error instead of a hang.
 
     A residual of a one-letter word is a one-letter word or empty, so the
     seeds' residuals are closed under inverse words.  Their minimal machine
@@ -498,36 +495,34 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     is its representative.
 
     The set is an element table (_Elements): for each id, its level-one
-    permutation, the ids of its sections and the id of its inverse.  Each
-    round examines the products of two of the round's first n elements.  A
-    node of a residual graph carries the pair (a, b) of elements it equals,
-    the pairs of its residuals are read from the table, and the table says
-    which element, if any, a pair equals; a residual is formed as a word
-    only when its pair is outside the set.  The recurring nodes of a graph
-    are adjoined at once, with their inverse words (_Elements.adjoin), so
-    later tests in the round see them.
+    permutation, the ids of its sections and the id of its inverse.  A
+    round multiplies each element adjoined in the round before (each
+    seeded one, in the first) by each seed other than the identity.  A
+    node of a residual graph carries the pair (a, b) of elements it
+    equals, the pairs of its residuals are read from the table, and the
+    table says which element, if any, a pair equals; a residual is formed
+    as a word only when its pair is outside the set.  The recurring nodes
+    of a graph are adjoined at once, with their inverse words
+    (_Elements.adjoin), so later tests in the round see them.
+
+    These products suffice.  A section of a product h s is n s', with n a
+    section of h and s' a seed, so by induction on the length of a word
+    over the seeds, its sections at long enough words lie in any set that
+    holds the seeds, is closed under sections and inverses, and holds the
+    recurring sections of n s for each of its elements n and seeds s: a
+    chain of sections of n s' outside the set runs through the finite set
+    table x seeds, so a long one is past a cycle.  Each element adjoined
+    is on or past a cycle, so a section of itself at words of every
+    length; the products of every two elements reach the same set
+    (Nekrashevych, Self-Similar Groups, 2005, section 2.11).
 
     A pair examined in one round is not examined again.  Between two pair
     examinations the set is closed under residuals and inverses, so a
     residual graph loses, with each node that joins the set, all the nodes
     below it: a later graph of the pair is what is left of its first one
     once its cycles and all that they reach were adjoined, no deeper and
-    with nothing to adjoin.
-
-    Nor is the mirror of an examined pair.  The pairs (a, b) and (inv b,
-    inv a) are inverse elements, and a round's range is closed under
-    inverses, so both lie in it.  The residual of an inverse at an input
-    word is the inverse of a residual at an input word of the same length,
-    and the set is closed under inverses, so the two graphs' chains outside
-    the set mirror each other.  Once the first pair of the two is examined,
-    its graph has no cycle left outside the set, nor then has its mirror's:
-    the mirror adjoins nothing, and is skipped.  Its graph's levels are at
-    most the nodes of its longest chain, which can outnumber the first
-    graph's levels when two chains of unequal length meet at one word; so a
-    mirror is still examined, as the depth cap might fire there, when more
-    than depth_cap nodes of the first graph are left outside the set.  A
-    pair whose sections all lie in the set is a one-node graph with nothing
-    recurring, and its product is not formed.
+    with nothing to adjoin.  A pair whose sections all lie in the set is a
+    one-node graph with nothing recurring, and its product is not formed.
 
     The last step replaces each representative whose search space is small
     by the shortlex-first word of its element: _first_words finds them all
@@ -560,16 +555,15 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
         if b == len(reps):
             grow(closure[i])
             table.append(perm[b], sec[b], block[index[_inverse(closure[i])]])
-    perm, sec, inv, find, known = table.perm, table.sec, table.inv, table.find, table.equal.get
+    perm, sec, find, known = table.perm, table.sec, table.find, table.equal.get
+    gens = [g for g in dict.fromkeys(block[index[ls]] for ls in seeds) if g]
 
-    old = 0                              # elements whose pairs were all examined
-    owed = set()                         # later mirrors whose graphs may be deeper
+    old = 0                              # elements whose products were all examined
     while old < len(reps):
         n = len(reps)
-        for i in range(n):
-            for j in range(old if i < old else 0, n):
-                if ((inv[j], inv[i]) < (i, j) and (i, j) not in owed
-                        or find((i, j)) is not None):
+        for i in range(old, n):
+            for j in gens:
+                if find((i, j)) is not None:
                     continue
                 if all(known(q) is not None or find(q) is not None
                        for q in zip(sec[i], map(sec[j].__getitem__, perm[i]))):
@@ -603,8 +597,6 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
                                 nxt.append(r)
                     frontier = nxt
                 recurring = _cycle_reachable(list(pair), pair, succ)
-                if len(pair) - len(recurring) > depth_cap:
-                    owed.add((inv[j], inv[i]))
                 if recurring:
                     for ls in table.adjoin(recurring, pair, succ):
                         grow(ls)

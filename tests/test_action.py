@@ -429,6 +429,11 @@ def test_dual_path_unknown_letter(star):
         dual_path(star, "9", "a")
 
 
+def test_dual_path_unhashable_letter(basilica):
+    with pytest.raises(AlphabetMismatch):
+        dual_path(basilica, ["0"], "a")
+
+
 def test_positive_word_that_is_not_a_sequence_of_states_is_refused(basilica, star):
     for call in (lambda: dual_path(basilica, "0", 5),
                  lambda: semigroup_eq_via_action(star, [["a"]], ["a"])):
@@ -450,6 +455,11 @@ def test_loops_at_fig5(fig5):
     assert loops_at(fig5, "1") == ("e2", "e3", "e5", "id")
 
 
+def test_loops_at_unhashable_letter(basilica):
+    with pytest.raises(AlphabetMismatch):
+        loops_at(basilica, ["0"])
+
+
 # -- nooses ------------------------------------------------------------------------------------
 
 def test_noose_whole_word(fig5):
@@ -458,6 +468,11 @@ def test_noose_whole_word(fig5):
     assert (noose.start, noose.stop) == (0, 4)
     assert noose.letters == ("e1", "e2", "e2", "e1")
     assert noose.letters[0] == noose.letters[-1]
+
+
+def test_noose_unhashable_letter(basilica):
+    with pytest.raises(AlphabetMismatch):
+        find_noose(basilica, ["0"], "a")
 
 
 def test_no_noose_when_word_stays_home(fig5):

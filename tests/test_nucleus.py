@@ -12,17 +12,19 @@ the keys of its rows must be those of the nucleus's words.  The key must
 separate exactly the pairs the closure decider separates, and no key is
 memoized.  A word must act (`_acts_as`) as exactly the one element whose
 key is its own, among the rows of a table and among those of the
-nucleus's table.  The nucleus must equal the one built by the
-per-representative closure lookup, kept below as the reference, down to
-the cap error it raises under tight caps, and a raised size cap on a
-machine that is not contracting must stay in bounded memory.  The rounds,
-which skip a pair whose mirror (inv b, inv a) came first and form no
-graph for a pair whose sections are elements, must leave the element
-table, the adjoined words and the cap error of the loop that examines
-every pair (kept below as the reference).  No pair product may be formed
-twice, nor for both pairs of a mirrored couple or for a pair whose
-sections are elements; the work of two runs is counted exactly.  The
-shortlex search must find the words the closure search `_shortest` finds.
+nucleus's table.  The rounds multiply each element by the states and
+their inverses only, and form no graph for a pair whose sections are
+elements.  Against the per-representative closure lookup and the loop
+that examines every pair of elements, both kept below as references,
+they must reach the same elements: where a reference completes, so does
+`nucleus`, with the same elements; where `nucleus` raises a cap error, so
+does the reference; and where only the reference raises, its graphs
+being deeper, it reaches the same elements at the default caps.  A
+raised size cap on a machine that is not contracting must stay in
+bounded memory.  No pair product may be formed twice, nor for a pair
+whose sections are elements; the work of three runs is counted exactly.
+The shortlex search must find the words the closure search `_shortest`
+finds.
 The reducibility scan's explicit-stack chain walk and its state-graph
 sweep are compared with the recursive per-word walk they replaced, the
 sweep's steps are counted against its states, and the Aleshin machine is
@@ -283,6 +285,57 @@ def _reference_nucleus(aut, depth_cap=64, size_cap=512):
     return Nucleus([_decode_word(aut, ls) for ls in final], perms, sections)
 
 
+def _portraits(aut, nuc):
+    """The key of each of a nucleus's words, in order."""
+    return [_key(aut, _encode_word(aut, w)) for w in nuc]
+
+
+def _assert_same_elements(aut, got, ref):
+    """Each element of ref equals exactly one of got, with its permutation and sections.
+
+    Elements are matched by key.  The words may differ: a word too long
+    for the shortest-word pass stays the one its loop adjoined.
+    """
+    keys, ref_keys = _portraits(aut, got), _portraits(aut, ref)
+    assert len(set(keys)) == len(keys) == len(ref_keys) and set(keys) == set(ref_keys)
+    key_of, ref_key_of = dict(zip(got, keys)), dict(zip(ref, ref_keys))
+    word = dict(zip(keys, got))
+    for r, k in zip(ref, ref_keys):
+        w = word[k]
+        assert got.perms[w] == ref.perms[r]
+        assert ({x: key_of[s] for x, s in got.sections[w].items()}
+                == {x: ref_key_of[s] for x, s in ref.sections[r].items()})
+
+
+def _cap_error(fn, aut, **caps):
+    """fn(aut, **caps), or the message of the cap error it raises."""
+    try:
+        return fn(aut, **caps)
+    except NotContractingWithinCaps as exc:
+        return str(exc)
+
+
+def _against_reference(machine, **caps):
+    """nucleus against _reference_nucleus on one machine: (its outcome, the reference's).
+
+    Where the reference completes, nucleus completes with the same
+    elements, and where nucleus raises, so does the reference.  Where only
+    the reference raises, it is the depth cap, which counts the levels of
+    graphs of products of two elements; at the default caps the reference
+    then reaches the same elements.
+    """
+    got = _cap_error(nucleus, _build(machine), **caps)
+    ref = _cap_error(_reference_nucleus, _build(machine), **caps)
+    if isinstance(got, str):
+        assert isinstance(ref, str)
+    elif isinstance(ref, str):
+        assert ref.startswith("residual chains exceeded depth cap")
+        _assert_same_elements(_build(machine), got, _reference_nucleus(_build(machine)))
+    else:
+        _assert_same_elements(_build(machine), got, ref)
+    return tuple(x.split(" cap ")[0] if isinstance(x, str) else "Nucleus" for x in (got, ref))
+
+
 def _outcome(fn, *args, **kwargs):
     try:
         nuc = fn(*args, **kwargs)
@@ -302,11 +355,8 @@ def test_nucleus_matches_the_closure_lookup_on_random_machines():
     rng = random.Random(20261018)
     outcomes = set()
     for _ in range(80):
-        machine = _random_machine(rng)
-        got = _outcome(nucleus, _build(machine), depth_cap=10, size_cap=40)
-        assert got == _outcome(_reference_nucleus, _build(machine), depth_cap=10, size_cap=40)
-        outcomes.add(got[0] if isinstance(got[0], str) else "Nucleus")
-    assert outcomes == {"Nucleus", "NotContractingWithinCaps"}
+        outcomes.add(_against_reference(_random_machine(rng), depth_cap=10, size_cap=40)[0])
+    assert outcomes == {"Nucleus", "nucleus exceeded size", "residual chains exceeded depth"}
 
 
 def test_shortest_representative_matches_the_closure_search(star):
@@ -320,16 +370,17 @@ def test_shortest_representative_matches_the_closure_search(star):
 
 
 def test_nucleus_matches_the_closure_lookup_under_tight_caps():
-    # the depth-cap and size-cap errors fire at the same pair, with the same message
+    # some machines here pass the depth cap only in the reference, whose
+    # graphs are those of products of two elements
     rng = random.Random(424242)
     outcomes = set()
     for _ in range(200):
         machine = _random_machine(rng)
         caps = {"depth_cap": rng.randint(1, 3), "size_cap": rng.randint(5, 20)}
-        got = _outcome(nucleus, _build(machine), **caps)
-        assert got == _outcome(_reference_nucleus, _build(machine), **caps)
-        outcomes.add(got[1].split(" cap ")[0] if isinstance(got[0], str) else "Nucleus")
-    assert outcomes == {"Nucleus", "residual chains exceeded depth", "nucleus exceeded size"}
+        outcomes.add(_against_reference(machine, **caps))
+    depth, size = "residual chains exceeded depth", "nucleus exceeded size"
+    assert {got for got, _ in outcomes} == {"Nucleus", depth, size}
+    assert ("Nucleus", depth) in outcomes
 
 
 def _recording_table(tables):
@@ -352,10 +403,9 @@ def _recording_table(tables):
 
 
 def test_each_pair_product_is_formed_once(monkeypatch):
-    # a pair examined in one round is not examined again in a later one; of a
-    # mirrored couple (a, b), (inv b, inv a) only one is examined, as no graph
-    # here leaves more nodes outside than the depth cap; and a product is
-    # formed only when one of its sections is outside the table
+    # a pair examined in one round is not examined again in a later one, its
+    # second factor is a state or an inverse state, and a product is formed
+    # only when one of its sections is outside the table
     for name in ("fig5_tree", "cycle_5"):
         aut = builtin_automaton(name)
         rows, letters = aut.core().rows, range(len(aut.alphabet))
@@ -378,21 +428,21 @@ def test_each_pair_product_is_formed_once(monkeypatch):
         table, = tables
         ids = {_row_key(table.perm, table.sec, k): k for k in range(len(table.perm))}
         pairs = {tuple(ids[_key(aut, w)] for w in uv) for uv in formed}
-        inv = table.inv
-        assert all((inv[b], inv[a]) not in pairs or (inv[b], inv[a]) == (a, b)
-                   for a, b in pairs)
+        seeds = {ids[_key(aut, (c,))] for c in _gen_codes(aut)}
+        seeds |= {table.inv[g] for g in seeds}
+        assert len(pairs) == len(formed) and all(b in seeds - {0} for _, b in pairs)
 
 
 # -- the round loop against the loop that examines every pair ----------------------
 
 def _every_pair_nucleus(aut, depth_cap=DEFAULT_NUCLEUS_DEPTH, size_cap=DEFAULT_NUCLEUS_SIZE):
-    """nucleus's seeding and rounds, with a residual graph for every pair not found.
+    """nucleus's seeding, then rounds over the products of every two elements.
 
-    The rounds as they were before they skipped a pair whose mirror (inv b,
-    inv a) came earlier in the round, and a pair whose sections are all
-    table elements.  The table is `wordproblem._Elements`, looked up when
-    called, so that a test can record it; the shortest-word pass is left
-    out.
+    A round examines each pair of elements with one factor adjoined in the
+    round before, and forms a residual graph for every pair not found, even
+    one whose sections are all table elements.  The table is
+    `wordproblem._Elements`, looked up when called, so that a test can
+    record it; the shortest-word pass is left out.
     """
     rows, letters = aut.core().rows, range(len(aut.alphabet))
     reps = []
@@ -471,11 +521,47 @@ def _rounds(fn, aut, **caps):
     return error, table.perm, table.sec, table.inv, table.adjoined
 
 
+def _assert_same_table(got, ref):
+    """Two _rounds results hold the same elements, each with the same inverse.
+
+    Rows are matched by their keys (_row_key); the seeded rows, which come
+    before any adjoined one, are the same rows in the same order.
+    """
+    (_, perm, sec, inv, adjoined), (_, ref_perm, ref_sec, ref_inv, _) = got, ref
+    keys = [_row_key(perm, sec, k) for k in range(len(perm))]
+    ref_keys = [_row_key(ref_perm, ref_sec, k) for k in range(len(ref_perm))]
+    assert len(set(keys)) == len(keys) == len(ref_keys) and set(keys) == set(ref_keys)
+    where = {k: e for e, k in enumerate(ref_keys)}
+    assert all(ref_keys[ref_inv[where[k]]] == keys[inv[e]] for e, k in enumerate(keys))
+    seeded = len(perm) - len(adjoined)
+    assert keys[:seeded] == ref_keys[:seeded]
+
+
+def _against_every_pair(machine, **caps):
+    """nucleus's rounds against _every_pair_nucleus's: (the outcome of each).
+
+    The rules of _against_reference, on the element tables: where only
+    the loop over every pair raises, it is the depth cap, and at the
+    default caps that loop reaches the same table.
+    """
+    got = _rounds(nucleus, _build(machine), **caps)
+    ref = _rounds(_every_pair_nucleus, _build(machine), **caps)
+    if got[0] is not None:
+        assert ref[0] is not None
+    elif ref[0] is not None:
+        assert ref[0].startswith("residual chains exceeded depth cap")
+        _assert_same_table(got, _rounds(_every_pair_nucleus, _build(machine)))
+    else:
+        _assert_same_table(got, ref)
+    return tuple(x[0] and x[0].split(" cap ")[0] for x in (got, ref))
+
+
 @pytest.mark.parametrize("name", BUILTINS + ("cycle_5",))
 def test_rounds_match_the_every_pair_loop(name):
     got = _rounds(nucleus, builtin_automaton(name))
-    assert got == _rounds(_every_pair_nucleus, builtin_automaton(name))
-    assert got[0] is None and (got[4] or name == "adding_machine")
+    ref = _rounds(_every_pair_nucleus, builtin_automaton(name))
+    assert got[0] is None and ref[0] is None and (got[4] or name == "adding_machine")
+    _assert_same_table(got, ref)
 
 
 def test_rounds_match_the_every_pair_loop_under_tight_caps():
@@ -485,26 +571,28 @@ def test_rounds_match_the_every_pair_loop_under_tight_caps():
     for _ in range(200):
         machine = _random_machine(rng)
         caps = {"depth_cap": rng.randint(1, 3), "size_cap": rng.randint(5, 20)}
-        got = _rounds(nucleus, _build(machine), **caps)
-        assert got == _rounds(_every_pair_nucleus, _build(machine), **caps)
-        outcomes.add(got[0] and got[0].split(" cap ")[0])
-    assert outcomes == {None, "residual chains exceeded depth", "nucleus exceeded size"}
+        outcomes.add(_against_every_pair(machine, **caps))
+    depth, size = "residual chains exceeded depth", "nucleus exceeded size"
+    assert {got for got, _ in outcomes} == {None, depth, size}
+    assert (None, depth) in outcomes
 
 
-def test_a_mirror_deeper_than_its_pair_is_still_examined():
+def test_a_deeper_mirror_graph_fails_every_loop():
     # two chains of unequal length in a pair's residual graph reach one word,
-    # so the graph has fewer levels than its longest chain; its mirror's graph,
-    # whose chains do not meet, is the first to pass depth cap 4
+    # so the graph has fewer levels than its longest chain; in the loops over
+    # every pair of elements, the graph of its mirror (inv b, inv a), whose
+    # chains do not meet, is the first to pass depth cap 4.  The machine is not
+    # contracting within 60 elements, so nucleus raises too.
     records = [(SINK, x, SINK, x) for x in "012"]
     records += [("s0", "0", SINK, "1"), ("s0", "1", SINK, "0"), ("s0", "2", "s0", "2"),
                 ("s1", "0", "s1", "0"), ("s1", "1", "s0", "2"), ("s1", "2", "s1", "1")]
     machine = records, ["s0", "s1", SINK], list("012")
     caps = {"depth_cap": 4, "size_cap": 60}
-    got = _rounds(nucleus, _build(machine), **caps)
-    assert got[0] == "residual chains exceeded depth cap 4"
-    assert got == _rounds(_every_pair_nucleus, _build(machine), **caps)
-    assert _outcome(nucleus, _build(machine), **caps) == _outcome(
-        _reference_nucleus, _build(machine), **caps)
+    assert _rounds(_every_pair_nucleus, _build(machine), **caps)[0] == (
+        "residual chains exceeded depth cap 4")
+    outcomes = ("nucleus exceeded size", "residual chains exceeded depth")
+    assert _against_every_pair(machine, **caps) == outcomes
+    assert _against_reference(machine, **caps) == outcomes
 
 
 def _count_work(monkeypatch, name):
@@ -529,11 +617,14 @@ def _count_work(monkeypatch, name):
 
 
 def test_nucleus_work_counts(monkeypatch):
-    # the README quotes the fig5_tree figures; examining every pair, with a graph
-    # for each one not found, took 971 finds, 199 walks and 760 products there,
-    # and 9,261 finds, 6,988 walks and 7,265 products on cycle_5
-    assert _count_work(monkeypatch, "fig5_tree") == {"find": 516, "_matches": 136, "_product": 10}
-    assert _count_work(monkeypatch, "cycle_5") == {"find": 4746, "_matches": 3998, "_product": 45}
+    # the README quotes these figures; the rounds over pairs of elements, with
+    # one pair of each mirrored couple examined, took 516 finds, 136 walks and
+    # 10 products on fig5_tree, 4,746, 3,998 and 45 on cycle_5, and 97,885,
+    # 46,039 and 212 on cycle_8
+    assert _count_work(monkeypatch, "fig5_tree") == {"find": 330, "_matches": 114, "_product": 10}
+    assert _count_work(monkeypatch, "cycle_5") == {"find": 1050, "_matches": 664, "_product": 45}
+    assert _count_work(monkeypatch, "cycle_8") == {"find": 7480, "_matches": 3160,
+                                                   "_product": 212}
 
 
 # -- the element table against the n² pair table -------------------------------------
@@ -581,11 +672,12 @@ def _check_table(aut, rng, monkeypatch, **caps):
     find, asked, tables = _Elements.find, [], []
 
     def spy(table, q):
-        tables[:] = [table]
         got = find(table, q)
         asked.append((len(table.perm), q, got))
         return got
 
+    # a machine whose states all act as the identity asks no pair
+    monkeypatch.setattr(selfsim.wordproblem, "_Elements", _recording_table(tables))
     monkeypatch.setattr(_Elements, "find", spy)
     try:
         nuc = nucleus(aut, **caps)
