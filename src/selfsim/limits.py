@@ -20,7 +20,7 @@ from .errors import FormatError
 DEFAULT_LEVEL_CAP = 10 ** 6      # max |X|**k entries in a level enumeration, and max k
 DEFAULT_QUOTIENT_CAP = 8         # max |X| for the level-one quotient order; gates the
                                  # alphabet size only, no closure is enumerated
-DEFAULT_NUCLEUS_DEPTH = 64       # max breadth-first levels per pair product
+DEFAULT_NUCLEUS_DEPTH = 64       # max breadth-first levels per element-pair graph
 DEFAULT_NUCLEUS_SIZE = 512       # max number of nucleus elements
 MEMO_LIMIT = 300_000             # max entries kept in each per-automaton memo
 MAX_POWER_STATES = 10 ** 6       # max states of mealy.power's n-th power machine, and max n

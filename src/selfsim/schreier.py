@@ -14,6 +14,7 @@ import operator
 from .action import _check_sweep_cap, _gen_codes, _hit_sweep, _signed_codes, _sweep_count
 from .errors import BadAction, BadAssignment, FormatError, NotInvertible
 from .graphgroup import SINK_NAME
+from .limits import check_int
 from .mealy import MealyAutomaton, content_lines, inverse_symbol
 
 
@@ -27,14 +28,19 @@ class FiniteAction:
     __slots__ = ("generators", "degree", "perms", "basepoint")
 
     def __init__(self, generators, degree, perms, basepoint=0):
-        if degree < 1:
-            raise BadAction("degree must be >= 1")
+        check_int(degree, 1, "degree", BadAction)
+        check_int(basepoint, None, "basepoint", BadAction)
         if not 0 <= basepoint < degree:
             raise BadAction("basepoint %d outside 0..%d" % (basepoint, degree - 1))
         names = []
         cooked = {}
         for g in generators:
-            perm = tuple(perms[g])
+            try:
+                perm = tuple(perms[g])
+            except (KeyError, TypeError):    # no images, or images that are no sequence
+                raise BadAction("generator %r needs a sequence of images" % (g,)) from None
+            for p in perm:
+                check_int(p, None, "an image of %r" % (g,), BadAction)
             if sorted(perm) != list(range(degree)):
                 raise BadAction("images of %r are not a permutation of 0..%d"
                                 % (g, degree - 1))

@@ -37,21 +37,30 @@ class TracePresentation:
     __slots__ = ("letters", "sink", "independent", "_order", "_dependent")
 
     def __init__(self, letters, independent, sink="id"):
-        self.letters = tuple(letters)
+        try:
+            self.letters = tuple(letters)
+            self._order = {x: i for i, x in enumerate(self.letters)}
+        except TypeError:                # not iterable, or a letter that is not hashable
+            raise PresentationMismatch("the letters are a sequence of names, not %r"
+                                       % (letters,)) from None
         self.sink = sink
         if sink not in self.letters:
             raise PresentationMismatch("the identity letter %r must be in the alphabet" % sink)
         pairs = set()
-        for a, b in independent:
-            if a == b:
-                raise PresentationMismatch("a letter cannot be independent of itself")
-            if a not in self.letters or b not in self.letters:
-                raise PresentationMismatch("independence pair (%r, %r) uses unknown letters" % (a, b))
-            if sink in (a, b):
-                raise PresentationMismatch("the identity letter is erased, not commuted")
-            pairs.add(frozenset((a, b)))
+        try:
+            for a, b in independent:
+                if a == b:
+                    raise PresentationMismatch("a letter cannot be independent of itself")
+                if a not in self._order or b not in self._order:
+                    raise PresentationMismatch(
+                        "independence pair (%r, %r) uses unknown letters" % (a, b))
+                if sink in (a, b):
+                    raise PresentationMismatch("the identity letter is erased, not commuted")
+                pairs.add(frozenset((a, b)))
+        except (TypeError, ValueError):  # not iterable, or an item that is no pair of letters
+            raise PresentationMismatch("independence is a sequence of letter pairs, not %r"
+                                       % (independent,)) from None
         self.independent = frozenset(pairs)
-        self._order = {x: i for i, x in enumerate(self.letters)}
         self._dependent = {
             a: tuple(b for b in self.letters
                      if b != sink and frozenset((a, b)) not in self.independent)
@@ -80,10 +89,15 @@ class TraceWord(namedtuple("TraceWord", "pres letters")):
     __slots__ = ()
 
     def __new__(cls, pres, letters):
-        for x in letters:
-            if x not in pres._order:
-                raise UnknownGenerator("letter %r is not in the presentation" % (x,))
-        return super().__new__(cls, pres, letters)
+        try:
+            word = tuple(letters)
+            for x in word:
+                if x not in pres._order:
+                    raise UnknownGenerator("letter %r is not in the presentation" % (x,))
+        except TypeError:                # not iterable, or a letter that is not hashable
+            raise UnknownGenerator("a trace word is a sequence of letters, not %r"
+                                   % (letters,)) from None
+        return super().__new__(cls, pres, word)
 
     @classmethod
     def _make(cls, iterable):        # so that _replace checks the letters too
@@ -97,9 +111,7 @@ class TraceWord(namedtuple("TraceWord", "pres letters")):
 
 
 def trace_word(pres: TracePresentation, letters) -> TraceWord:
-    if isinstance(letters, str):
-        letters = tuple(letters.split())
-    return TraceWord(pres, tuple(letters))
+    return TraceWord(pres, letters.split() if isinstance(letters, str) else letters)
 
 
 def presentation_from_tree(t: OrientedGraph, sink="id") -> TracePresentation:

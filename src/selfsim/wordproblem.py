@@ -41,6 +41,7 @@ from .errors import (
     NotInvertible,
     QuotientTooLarge,
     RaggedTuples,
+    UnknownGenerator,
 )
 from .limits import (
     DEFAULT_NUCLEUS_DEPTH,
@@ -293,7 +294,12 @@ def exponent_sums(w, generators):
     Takes word text (parsed by parse_word), a GroupWord or a sequence of
     (generator, +-1) letters.
     """
-    sums = {g: 0 for g in generators}
+    try:
+        generators = tuple(generators)
+        sums = dict.fromkeys(generators, 0)
+    except TypeError:                    # not iterable, or a generator that is not hashable
+        raise UnknownGenerator("generators are a sequence of names, not %r"
+                               % (generators,)) from None
     for g, s in _group_word(w):
         if g in sums:
             sums[g] += s
@@ -484,9 +490,10 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
 
     Seeded with the identity, the states and their inverses, closed under
     residuals; then, for each product of an element and a state or inverse
-    state, residual chains are followed until they re-enter the set, and
-    the recurring elements (those on or past a residual cycle) are
-    adjoined.  Caps turn non-stabilization into an error instead of a hang.
+    state, residual chains of element pairs are followed until they
+    re-enter the set, and the recurring elements (those on or past a
+    residual cycle) are adjoined.  Caps turn non-stabilization into an
+    error instead of a hang.
 
     A residual of a one-letter word is a one-letter word or empty, so the
     seeds' residuals are closed under inverse words.  Their minimal machine
@@ -495,15 +502,21 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     is its representative.
 
     The set is an element table (_Elements): for each id, its level-one
-    permutation, the ids of its sections and the id of its inverse.  A
-    round multiplies each element adjoined in the round before (each
-    seeded one, in the first) by each seed other than the identity.  A
-    node of a residual graph carries the pair (a, b) of elements it
-    equals, the pairs of its residuals are read from the table, and the
-    table says which element, if any, a pair equals; a residual is formed
-    as a word only when its pair is outside the set.  The recurring nodes
-    of a graph are adjoined at once, with their inverse words
-    (_Elements.adjoin), so later tests in the round see them.
+    permutation, the ids of its sections and the id of its inverse.  One
+    pass over the ids in order multiplies each element, seeded or
+    adjoined, by each seed other than the identity.  The nodes of a
+    residual graph are pairs (a, b) of ids that equal no element of the
+    set: the residual of (a, b) at x is the pair (sec[a][x],
+    sec[b][perm[a][x]]), and the table says which element, if any, a pair
+    equals, so no word is formed or stepped while the set grows.  The
+    second factor of every node is a seed, so a graph has at most 2m nodes
+    per element, m the number of states other than the sink, and the
+    depth cap counts its breadth-first levels over these distinct pairs:
+    whether it fires depends on the elements only.  The recurring pairs of
+    a graph (mealy._trim) are adjoined at once, with their inverses
+    (_Elements.adjoin), so later tests see them, and the word of each new
+    element is formed then: the product of its pair's representatives, or
+    that product's inverse.
 
     These products suffice.  A section of a product h s is n s', with n a
     section of h and s' a seed, so by induction on the length of a word
@@ -516,13 +529,13 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     length; the products of every two elements reach the same set
     (Nekrashevych, Self-Similar Groups, 2005, section 2.11).
 
-    A pair examined in one round is not examined again.  Between two pair
-    examinations the set is closed under residuals and inverses, so a
-    residual graph loses, with each node that joins the set, all the nodes
-    below it: a later graph of the pair is what is left of its first one
-    once its cycles and all that they reach were adjoined, no deeper and
-    with nothing to adjoin.  A pair whose sections all lie in the set is a
-    one-node graph with nothing recurring, and its product is not formed.
+    A pair is examined once.  Between two pair examinations the set is
+    closed under residuals and inverses, so a residual graph loses, with
+    each node that joins the set, all the nodes below it: a later graph of
+    the pair would be what is left of its first one once its cycles and
+    all that they reach were adjoined, no deeper and with nothing to
+    adjoin.  A pair whose sections all lie in the set is a one-node graph
+    with nothing recurring, and its graph is not walked.
 
     The last step replaces each representative whose search space is small
     by the shortlex-first word of its element: _first_words finds them all
@@ -535,8 +548,6 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     size_cap = DEFAULT_NUCLEUS_SIZE if size_cap is None else size_cap
     check_int(depth_cap, 1, "nucleus depth cap", NotContractingWithinCaps)
     check_int(size_cap, 1, "nucleus size cap", NotContractingWithinCaps)
-    rows, letters = aut.core().rows, range(len(aut.alphabet))
-
     reps = []
 
     def grow(ls):
@@ -558,49 +569,39 @@ def nucleus(aut: MealyAutomaton, depth_cap=None, size_cap=None) -> Nucleus:
     perm, sec, find, known = table.perm, table.sec, table.find, table.equal.get
     gens = [g for g in dict.fromkeys(block[index[ls]] for ls in seeds) if g]
 
-    old = 0                              # elements whose products were all examined
-    while old < len(reps):
-        n = len(reps)
-        for i in range(old, n):
-            for j in gens:
-                if find((i, j)) is not None:
-                    continue
-                if all(known(q) is not None or find(q) is not None
-                       for q in zip(sec[i], map(sec[j].__getitem__, perm[i]))):
-                    continue                 # a one-node graph: nothing recurs
-                w0 = _product(reps[i], reps[j])
-                # residual graph of the product outside the current set: its
-                # nodes in discovery order, each with its pair, and its edges
-                pair = {w0: (i, j)}
-                succ = {}
-                frontier = [w0]
-                levels = 0
-                while frontier:
-                    levels += 1
-                    if levels > depth_cap:
-                        raise NotContractingWithinCaps(
-                            "residual chains exceeded depth cap %d" % depth_cap)
-                    nxt = []
-                    for wl in frontier:
-                        a, b = pair[wl]
-                        pa, sa, sb = perm[a], sec[a], sec[b]
-                        succ[wl] = out = []      # residuals outside the set
-                        for x in letters:
-                            q = sa[x], sb[pa[x]]
-                            # most pairs were met before: a lookup spares the call
-                            if known(q) is not None or find(q) is not None:
-                                continue
-                            r = _step_word(rows, wl, x)[1]
-                            out.append(r)
-                            if r not in pair:
-                                pair[r] = q
-                                nxt.append(r)
-                    frontier = nxt
-                recurring = _cycle_reachable(list(pair), pair, succ)
-                if recurring:
-                    for ls in table.adjoin(recurring, pair, succ):
-                        grow(ls)
-        old = n
+    i = 0
+    while i < len(reps):
+        for j in gens:
+            if find((i, j)) is not None:
+                continue
+            if all(known(q) is not None or find(q) is not None
+                   for q in zip(sec[i], map(sec[j].__getitem__, perm[i]))):
+                continue                     # a one-node graph: nothing recurs
+            # residual graph of the pair outside the current set: its nodes
+            # in discovery order, each with its residual pairs outside the set
+            succ = {(i, j): None}
+            frontier = [(i, j)]
+            levels = 0
+            while frontier:
+                levels += 1
+                if levels > depth_cap:
+                    raise NotContractingWithinCaps(
+                        "residual chains exceeded depth cap %d" % depth_cap)
+                nxt = []
+                for a, b in frontier:
+                    sb = sec[b]
+                    # most pairs were met before: a lookup spares the call
+                    succ[a, b] = out = [q for q in zip(sec[a], map(sb.__getitem__, perm[a]))
+                                        if known(q) is None and find(q) is None]
+                    for q in out:
+                        if q not in succ:
+                            succ[q] = None
+                            nxt.append(q)
+                frontier = nxt
+            for (a, b), inverse in table.adjoin(_trim(list(succ), succ)):
+                w = _product(reps[a], reps[b])
+                grow(_inverse(w) if inverse else w)
+        i += 1
 
     # shortest equal word of each representative whose search space is small
     width = 2 * len(_gen_codes(aut))
@@ -749,39 +750,38 @@ class _Elements:
             equal[inv[b], inv[a]] = inv[f]
         return True
 
-    def adjoin(self, nodes, pair, succ):
-        """Adjoin the elements that recurring residual-graph nodes and their inverses are.
+    def adjoin(self, nodes):
+        """Adjoin the elements that recurring pairs and their inverses are.
 
-        `nodes` are the recurring words in discovery order, pair[w] is the
-        pair that w equals and succ[w] lists its residuals outside the set,
-        in letter order, all of them nodes; `equal` holds the pairs of the
-        others, as the graph's walk asked for each.  No node and no inverse
-        of one equals an element of the table, which is closed under
-        inverses.
-        The nodes and their inverse words form a small machine whose other
-        successors are table elements, and an inverse word's successors
-        are the inverses of its word's.  One partition refinement
+        `nodes` are the recurring pairs of a residual graph in discovery
+        order.  No node and no inverse of one equals an element of the
+        table, which is closed under inverses, and each section of a node
+        is a table element, in `equal` as the graph's walk asked for each,
+        or another node.
+        The nodes and their inverses form a small machine whose other
+        successors are table elements, and the inverse of (a, b) has the
+        inverses of its sections.  One partition refinement
         (mealy._refine_partition) over it, with each table element a state
-        whose output is its own id, merges the equal words.  The states go
+        whose output is its own id, merges the equal ones.  The states go
         node, inverse, node, inverse, ..., in `nodes` order, so its blocks,
         numbered by first occurrence, are the new ids in the order of their
-        first words.  Returns those first words.
+        first states.  Returns, for each new element in id order, its first
+        state's pair and whether the element is that pair's inverse.
         """
-        size, inv = len(self.perm), self.inv
-        where = {w: 2 * i for i, w in enumerate(nodes)}
+        size, inv, equal = len(self.perm), self.inv, self.equal
+        where = {q: 2 * k for k, q in enumerate(nodes)}
         outside = {}                     # table element -> its state
         outputs, kids = [], []
-        for w in nodes:
-            a, b = pair[w]
+        for a, b in nodes:
             pa, sa, sb = self.perm[a], self.sec[a], self.sec[b]
             perm = tuple(map(self.perm[b].__getitem__, pa))
             back_perm, forward, back = list(perm), [], list(perm)
-            rest = iter(succ[w])
             for x, y in enumerate(perm):
-                e = self.equal.get((sa[x], sb[pa[x]]))
+                q = sa[x], sb[pa[x]]
+                e = equal.get(q)
                 back_perm[y] = x
                 if e is None:
-                    s = where[next(rest)]
+                    s = where[q]
                     forward.append(s)
                     back[y] = s + 1
                 else:
@@ -793,21 +793,15 @@ class _Elements:
         kids += [()] * len(outside)
         ids = [size + c for c in _refine_partition(outputs, kids)[:2 * len(nodes)]]
         ids += outside
-        words = []
-        for s, w in enumerate(nodes):
+        new = []
+        for s, (a, b) in enumerate(nodes):
             for t in (2 * s, 2 * s + 1):
                 if ids[t] == len(self.perm):
-                    words.append(_inverse(w) if t & 1 else w)
+                    new.append(((a, b), t == 2 * s + 1))
                     self.append(outputs[t], tuple(map(ids.__getitem__, kids[t])), ids[t ^ 1])
-            a, b = pair[w]
-            self.equal[a, b] = ids[2 * s]
-            self.equal[inv[b], inv[a]] = ids[2 * s + 1]
-        return words
-
-
-def _cycle_reachable(nodes, node_set, succ):
-    """Words lying on a residual cycle or reachable from one, in input order."""
-    return _trim(nodes, {node: [r for r in succ[node] if r in node_set] for node in nodes})
+            equal[a, b] = ids[2 * s]
+            equal[inv[b], inv[a]] = ids[2 * s + 1]
+        return new
 
 
 # -- reducibility scan ---------------------------------------------------------
@@ -1048,7 +1042,12 @@ def dichotomy(tuples) -> DichotomyResult:
     exhibits a rank-two free subgroup.  A component is word text (parsed by
     parse_word), a GroupWord or a sequence of (generator, +-1) letters.
     """
-    rows = [tuple(map(_group_word, row)) for row in tuples]
+    try:
+        rows = [tuple(row) for row in tuples]
+    except TypeError:                    # not iterable, or a row that is not
+        raise RaggedTuples("tuples are a sequence of sequences of words, not %r"
+                           % (tuples,)) from None
+    rows = [tuple(map(_group_word, row)) for row in rows]
     if not rows:
         return DichotomyResult("Abelian", None, None)
     width = len(rows[0])

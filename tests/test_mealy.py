@@ -33,7 +33,6 @@ from selfsim.errors import (
     NotInvertible,
 )
 from selfsim.mealy import MealyAutomaton, _trim
-from selfsim.wordproblem import _cycle_reachable
 
 STAR_RECORDS = [
     ("a", "0", "a", "1"), ("a", "1", "id", "0"), ("a", "2", "id", "2"), ("a", "3", "id", "3"),
@@ -403,7 +402,7 @@ def test_trim_matches_reachability():
         cyclic = [u for u in nodes if u in reach[u]]
         below = [v for v in nodes if any(v == u or v in reach[u] for u in cyclic)]
         both = [v for v in below if any(v == u or u in reach[v] for u in cyclic)]
-        assert _cycle_reachable(nodes, node_set, succ) == below
+        assert _trim(nodes, inner) == below
         assert _trim(nodes, inner, both=True) == both
         proper += 0 < len(both) < len(below) < len(nodes)
     assert proper > 1000

@@ -21,8 +21,9 @@ they must reach the same elements: where a reference completes, so does
 does the reference; and where only the reference raises, its graphs
 being deeper, it reaches the same elements at the default caps.  A
 raised size cap on a machine that is not contracting must stay in
-bounded memory.  No pair product may be formed twice, nor for a pair
-whose sections are elements; the work of three runs is counted exactly.
+bounded memory.  No pair's residual graph may be walked twice, nor for
+a pair whose sections are elements, and the depth cap must count levels
+of element pairs, not of words; the work of three runs is counted exactly.
 The shortlex search must find the words the closure search `_shortest`
 finds.
 The reducibility scan's explicit-stack chain walk and its state-graph
@@ -61,14 +62,13 @@ from selfsim.action import (
 )
 from selfsim.errors import NotContractingWithinCaps, SelfSimError
 from selfsim.limits import DEFAULT_NUCLEUS_DEPTH, DEFAULT_NUCLEUS_SIZE
-from selfsim.mealy import _refine_partition
+from selfsim.mealy import _refine_partition, _trim
 from selfsim.wordproblem import (
     Nucleus,
     ReducibilityReport,
     _Elements,
     _acts_as,
     _closure_scan,
-    _cycle_reachable,
     _gen_codes,
     _lex_key,
     _minimal_machine,
@@ -265,7 +265,7 @@ def _reference_nucleus(aut, depth_cap=64, size_cap=512):
                             nodes.append(r)
                             nxt.append(r)
                 frontier = nxt
-            for wl in _cycle_reachable(nodes, node_set, succ):
+            for wl in _trim(nodes, {w: [r for r in succ[w] if r in node_set] for w in nodes}):
                 changed |= add_word(wl)
                 changed |= add_word(_inverse(wl))
     final = sorted((_improve_rep(aut, ls) for ls in reps),
@@ -394,43 +394,36 @@ def _recording_table(tables):
             self.adjoined = []
             tables.append(self)
 
-        def adjoin(self, nodes, pair, succ):
-            words = super().adjoin(nodes, pair, succ)
-            self.adjoined += words
-            return words
+        def adjoin(self, nodes):
+            new = super().adjoin(nodes)
+            self.adjoined += new
+            return new
 
     return Recorded
 
 
 def test_each_pair_product_is_formed_once(monkeypatch):
     # a pair examined in one round is not examined again in a later one, its
-    # second factor is a state or an inverse state, and a product is formed
-    # only when one of its sections is outside the table
+    # second factor is a state or an inverse state, and a graph is walked
+    # only when one of the pair's sections is outside the table, so its
+    # first node has an arc: here each graph is that one node and its loop
     for name in ("fig5_tree", "cycle_5"):
-        aut = builtin_automaton(name)
-        rows, letters = aut.core().rows, range(len(aut.alphabet))
-        formed, tables, keys = [], [], []
+        graphs, tables = [], []
 
-        def product(u, v):
-            table, = tables
-            keys.extend(_row_key(table.perm, table.sec, k)
-                        for k in range(len(keys), len(table.perm)))
-            w0 = _product(u, v)
-            assert any(_key(aut, _step_word(rows, w0, x)[1]) not in keys
-                       for x in letters)
-            formed.append((u, v))
-            return w0
+        def trim(nodes, succ):
+            graphs.append((list(nodes), succ[nodes[0]]))
+            return _trim(nodes, succ)
 
         monkeypatch.setattr(selfsim.wordproblem, "_Elements", _recording_table(tables))
-        monkeypatch.setattr(selfsim.wordproblem, "_product", product)
-        nucleus(aut)
-        assert formed and len(set(formed)) == len(formed)
+        monkeypatch.setattr(selfsim.wordproblem, "_trim", trim)
+        nucleus(builtin_automaton(name))
+        monkeypatch.undo()
         table, = tables
-        ids = {_row_key(table.perm, table.sec, k): k for k in range(len(table.perm))}
-        pairs = {tuple(ids[_key(aut, w)] for w in uv) for uv in formed}
-        seeds = {ids[_key(aut, (c,))] for c in _gen_codes(aut)}
-        seeds |= {table.inv[g] for g in seeds}
-        assert len(pairs) == len(formed) and all(b in seeds - {0} for _, b in pairs)
+        seeded = len(table.perm) - len(table.adjoined)
+        pairs = [nodes[0] for nodes, _ in graphs]
+        assert pairs and len(set(pairs)) == len(pairs)
+        assert all(0 < j < seeded for _, j in pairs)
+        assert all(arcs for _, arcs in graphs)
 
 
 # -- the round loop against the loop that examines every pair ----------------------
@@ -496,10 +489,12 @@ def _every_pair_nucleus(aut, depth_cap=DEFAULT_NUCLEUS_DEPTH, size_cap=DEFAULT_N
                                 nxt.append(r)
                                 pair[r] = q
                     frontier = nxt
-                recurring = _cycle_reachable(nodes, node_set, succ)
+                recurring = _trim(nodes, succ)
                 if recurring:
-                    for ls in table.adjoin(recurring, pair, succ):
-                        grow(ls)
+                    pairs = list(dict.fromkeys(pair[wl] for wl in recurring))
+                    for (a, b), inverse in table.adjoin(pairs):
+                        w = _product(reps[a], reps[b])
+                        grow(_inverse(w) if inverse else w)
         old = n
 
 
@@ -617,14 +612,30 @@ def _count_work(monkeypatch, name):
 
 
 def test_nucleus_work_counts(monkeypatch):
-    # the README quotes these figures; the rounds over pairs of elements, with
-    # one pair of each mirrored couple examined, took 516 finds, 136 walks and
-    # 10 products on fig5_tree, 4,746, 3,998 and 45 on cycle_5, and 97,885,
-    # 46,039 and 212 on cycle_8
-    assert _count_work(monkeypatch, "fig5_tree") == {"find": 330, "_matches": 114, "_product": 10}
-    assert _count_work(monkeypatch, "cycle_5") == {"find": 1050, "_matches": 664, "_product": 45}
+    # the README quotes these figures; one product is formed per adjoined
+    # element.  The rounds over pairs of elements, with one pair of each
+    # mirrored couple examined, took 516 finds, 136 walks and 10 products on
+    # fig5_tree, 4,746, 3,998 and 45 on cycle_5, and 97,885, 46,039 and 212
+    # on cycle_8, where a product was formed per residual graph over words
+    assert _count_work(monkeypatch, "fig5_tree") == {"find": 330, "_matches": 114, "_product": 20}
+    assert _count_work(monkeypatch, "cycle_5") == {"find": 1050, "_matches": 664, "_product": 85}
     assert _count_work(monkeypatch, "cycle_8") == {"find": 7480, "_matches": 3160,
-                                                   "_product": 212}
+                                                   "_product": 424}
+
+
+def test_the_depth_cap_depends_on_the_elements_only():
+    # the residual graphs over words of this machine's products were deeper
+    # than those over the element pairs the words equal, so depth caps 1 to 4
+    # fired; a graph over pairs of elements passes each of them
+    records = [(SINK, x, SINK, x) for x in "01"]
+    records += [("s0", "0", "s3", "1"), ("s0", "1", "s3", "0"), ("s1", "0", "s0", "0"),
+                ("s1", "1", "s1", "1"), ("s2", "0", "s0", "1"), ("s2", "1", "s0", "0"),
+                ("s3", "0", "s2", "1"), ("s3", "1", "s0", "0")]
+    machine = records, ["s0", "s1", "s2", "s3", SINK], list("01")
+    expected = _outcome(nucleus, _build(machine))
+    assert tuple(map(str, expected[0])) == ("1", "s0", "s1", "s0 s1", "s1 s0", "s0 s1 s0")
+    for depth_cap in range(1, 5):
+        assert _outcome(nucleus, _build(machine), depth_cap=depth_cap, size_cap=80) == expected
 
 
 # -- the element table against the n² pair table -------------------------------------

@@ -158,6 +158,21 @@ def test_action_validation():
     assert act.generators == ("a",)
 
 
+@pytest.mark.parametrize("change", [
+    {"degree": 2.0}, {"degree": True, "perms": {"a": (0,)}},
+    {"basepoint": "0"}, {"basepoint": True},
+    {"perms": {}}, {"perms": {"a": 5}}, {"perms": {"a": (1, "0")}}, {"perms": {"a": (1.0, 0)}},
+])
+def test_malformed_actions_are_refused(change):
+    # a float or bool degree or basepoint, a generator without images, and
+    # images that are no sequence of ints each raised a bare TypeError or
+    # KeyError, or were accepted and broke the machine built from them
+    args = {"degree": 2, "perms": {"a": (1, 0)}, "basepoint": 0}
+    args.update(change)
+    with pytest.raises(BadAction):
+        FiniteAction(["a"], args["degree"], args["perms"], basepoint=args["basepoint"])
+
+
 def test_action_file_round_trip(triangle_action):
     text = dump_action(triangle_action)
     again = load_action(text)

@@ -108,6 +108,22 @@ def test_presentation_mismatch(fig5_pres, star_pres):
         equivalent(trace_word(fig5_pres, "e1"), trace_word(star_pres, "a"))
 
 
+@pytest.mark.parametrize("letters, independent", [
+    (["a", "b", "id"], [("a",)]),            # an independence item that is no pair
+    (["a", "b", "id"], 5),                   # independence that is not iterable
+    (["a", "b", "id", ["c"]], []),           # a letter that is not hashable
+])
+def test_malformed_presentation_is_refused(letters, independent):
+    with pytest.raises(PresentationMismatch):
+        TracePresentation(letters, independent)
+
+
+@pytest.mark.parametrize("letters", [5, [["a"]]])
+def test_trace_word_that_is_not_a_sequence_of_letters_is_refused(star_pres, letters):
+    with pytest.raises(UnknownGenerator):
+        trace_word(star_pres, letters)
+
+
 def test_action_oracle(fig5, star):
     assert semigroup_eq_via_action(fig5, "e2 e4", "e4 e2").equal
     res = semigroup_eq_via_action(star, "a b", "b a")

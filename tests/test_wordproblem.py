@@ -308,7 +308,11 @@ def test_nucleus_contains_a_representative_in_any_word_form(basilica, fig5):
     for word in ("", "a", "a^-1 b", "b b^-1 a", parse_word("a^-1 b"),
                  [("a", -1), ("b", 1)], (("b", -1), ("a", 1))):
         assert word in nuc
-    # a representative, not any word of its element: only a^-1 b is listed
+    # a representative, not any word of its element: a^-1 b is listed, and
+    # another word of its element is not; b a^-1 is a word of another element
+    other = "b a^-1 b a b^-1 a^-1"
+    assert elements_equal(basilica, other, "a^-1 b") and other not in nuc
+    assert not elements_equal(basilica, "b a^-1", "a^-1 b")
     assert "b a^-1" not in nuc and [("b", 1), ("a", -1)] not in nuc
     nuc = nucleus(fig5)
     assert "e1" in nuc and elements_equal(fig5, "e2 e4 e2^-1 e4^-1 e1", "e1")
@@ -334,6 +338,13 @@ def test_exponent_sums_of_word_text(star):
 def test_exponent_sums_refuse_a_word_that_is_not_iterable():
     with pytest.raises(UnknownGenerator):
         exponent_sums(5, ["a"])
+
+
+def test_exponent_sums_refuse_generators_that_are_not_a_sequence_of_names():
+    with pytest.raises(UnknownGenerator):
+        exponent_sums("a", 5)
+    with pytest.raises(UnknownGenerator):
+        exponent_sums("a", [["a"]])
 
 
 # -- reducibility -----------------------------------------------------------------------------------
@@ -403,6 +414,12 @@ def test_dichotomy_refuses_a_letter_whose_sign_is_not_one():
 def test_dichotomy_refuses_a_component_that_is_not_a_word():
     with pytest.raises(UnknownGenerator):
         dichotomy([[1]])
+
+
+@pytest.mark.parametrize("tuples", [5, [5]])
+def test_dichotomy_refuses_tuples_that_are_not_sequences(tuples):
+    with pytest.raises(RaggedTuples):
+        dichotomy(tuples)
 
 
 def test_nucleus_membership_refuses_a_word_that_is_not_iterable():
