@@ -32,6 +32,11 @@ class FiniteAction:
         check_int(basepoint, None, "basepoint", BadAction)
         if not 0 <= basepoint < degree:
             raise BadAction("basepoint %d outside 0..%d" % (basepoint, degree - 1))
+        try:
+            generators = tuple(generators)
+        except TypeError:                # not iterable
+            raise BadAction("the generators are a sequence of names, not %r"
+                            % (generators,)) from None
         names = []
         cooked = {}
         for g in generators:

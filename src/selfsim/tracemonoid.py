@@ -4,24 +4,32 @@ For a tree, two edge generators commute exactly when the edges share no
 endpoint, and these swaps together with deleting the sink letter generate
 all relations between positive words.  Three independent deciders live
 here: the lexicographic normal form, the pairwise projection criterion and
-an exact action-equality oracle over the residual pair graph.
+an exact action-equality oracle, the closure verdict of u v^-1 on an
+invertible machine.
 """
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from itertools import product
 
-from .action import _check_sweep_cap, _encode_word, _step_word, positive_state_word
+from .action import (
+    _check_sweep_cap,
+    _encode_word,
+    _inverse,
+    _product,
+    positive_state_word,
+)
 from .errors import (
     BadGraph,
     NotATree,
+    NotInvertible,
     PresentationMismatch,
     UnknownGenerator,
 )
 from .graphgroup import OrientedGraph, is_tree, line_graph_complement
 from .limits import check_int
 from .mealy import MealyAutomaton, _trim
-from .wordproblem import _closure_scan, is_identity
+from .wordproblem import _closure_scan, _verdict, is_identity
 
 
 class TracePresentation:
@@ -43,6 +51,9 @@ class TracePresentation:
         except TypeError:                # not iterable, or a letter that is not hashable
             raise PresentationMismatch("the letters are a sequence of names, not %r"
                                        % (letters,)) from None
+        repeated = [x for i, x in enumerate(self.letters) if self._order[x] != i]
+        if repeated:                     # _order keeps the last position of a letter
+            raise PresentationMismatch("letter %r is declared twice" % (repeated[0],))
         self.sink = sink
         if sink not in self.letters:
             raise PresentationMismatch("the identity letter %r must be in the alphabet" % sink)
@@ -211,32 +222,22 @@ ActionEq = namedtuple("ActionEq", "equal witness")
 def semigroup_eq_via_action(aut: MealyAutomaton, u, v) -> ActionEq:
     """Exact equality of the actions of two positive state words.
 
-    Breadth-first over residual pairs: positive residuals never lengthen, so
-    the pair space is finite; equal iff every reachable pair agrees on single
-    letters.
+    u and v act alike iff u v^-1 acts as the identity, so the answer is the
+    closure verdict of u v^-1 (wordproblem._verdict).  Its witness, the
+    shortlex-first input word that u v^-1 moves, is the shortlex-first word
+    whose images under u and v differ.  The inverse needs an invertible
+    machine.
     """
+    if not aut.invertible:
+        raise NotInvertible("the action oracle needs an invertible automaton")
     core = aut.core()
-    rows, alphabet = core.rows, aut.alphabet
 
     def encoded(word):
         codes = (core.codes[(a, 1)] for a in positive_state_word(aut, word))
         return tuple(c for c in codes if c)
 
-    start = (encoded(u), encoded(v))
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        (p, q), prefix = queue.popleft()
-        for x, letter in enumerate(alphabet):
-            yp, rp = _step_word(rows, p, x)
-            yq, rq = _step_word(rows, q, x)
-            if yp != yq:
-                return ActionEq(False, prefix + (letter,))
-            pair = (rp, rq)
-            if pair not in seen:
-                seen.add(pair)
-                queue.append((pair, prefix + (letter,)))
-    return ActionEq(True, None)
+    verdict = _verdict(aut, _product(encoded(u), _inverse(encoded(v))))
+    return ActionEq(verdict.identity, verdict.witness)
 
 
 # -- orientation sensitivity ---------------------------------------------------

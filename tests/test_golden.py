@@ -32,6 +32,8 @@ CASES = [
       "--oracle", "action"], 0),
     ("trace-eq-action-unequal",
      ["trace-eq", "--builtin", "star3", "-u", "a b", "-v", "b a", "--oracle", "action"], 0),
+    ("trace-eq-action-long-witness",
+     ["trace-eq", "--builtin", "star3", "-u", "a a b", "-v", "b a a", "--oracle", "action"], 0),
     ("trace-eq-action-graph-file",
      ["trace-eq", "--graph", "path4.graph", "-u", "e1 e3 id", "-v", "e3 e1",
       "--oracle", "action"], 0),

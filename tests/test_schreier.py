@@ -173,6 +173,12 @@ def test_malformed_actions_are_refused(change):
         FiniteAction(["a"], args["degree"], args["perms"], basepoint=args["basepoint"])
 
 
+def test_generators_that_are_not_iterable_are_refused():
+    # an int for the generators raised a bare TypeError
+    with pytest.raises(BadAction, match="sequence of names"):
+        FiniteAction(5, 2, {})
+
+
 def test_action_file_round_trip(triangle_action):
     text = dump_action(triangle_action)
     again = load_action(text)

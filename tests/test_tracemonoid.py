@@ -118,6 +118,13 @@ def test_malformed_presentation_is_refused(letters, independent):
         TracePresentation(letters, independent)
 
 
+@pytest.mark.parametrize("letters", [["a", "a", "id"], ["a", "b", "id", "a"]])
+def test_repeated_letter_is_refused(letters):
+    # a repeated letter was accepted, and order() gave its last position
+    with pytest.raises(PresentationMismatch, match="letter 'a' is declared twice"):
+        TracePresentation(letters, [])
+
+
 @pytest.mark.parametrize("letters", [5, [["a"]]])
 def test_trace_word_that_is_not_a_sequence_of_letters_is_refused(star_pres, letters):
     with pytest.raises(UnknownGenerator):

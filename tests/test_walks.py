@@ -5,8 +5,9 @@ residual-closure walker must list what the prefix-carrying breadth-first
 scan it replaced lists, kept below as the reference, and the closure
 decider must answer as that scan does and memoize only the words that fix
 level one; the level method's witness is the
-shortlex-first moved word; the positive-word oracle steps
-through the group-word step function; acyclicity and nucleus persistence
+shortlex-first moved word; the positive-word oracle's witness is the
+shortlex-first input word on which its two words differ, and it refuses a
+machine that is not invertible; acyclicity and nucleus persistence
 use the one cycle-trimming routine; the spanning tree is read off the
 coset graph's arcs.
 """
@@ -49,6 +50,7 @@ from selfsim.wordproblem import (
     is_identity,
     wp_fragile,
 )
+from test_nucleus import SINK, _build, _random_machine as _random_records
 
 # fixture name -> deepest level enumerated by brute force
 LEVELS = {"star3": 3, "fig5_tree": 2, "basilica": 5, "adding_machine": 5}
@@ -140,13 +142,9 @@ def test_both_memos_share_one_bound(monkeypatch):
 
 
 def _random_machine(rng):
-    alphabet = [str(i) for i in range(rng.randint(2, 3))]
-    gens = ["s%d" % i for i in range(rng.randint(2, 4))]
-    records = [("e", x, "e", x) for x in alphabet]
-    for s in gens:
-        outputs = rng.sample(alphabet, len(alphabet))
-        records += [(s, x, rng.choice(gens + ["e"]), y) for x, y in zip(alphabet, outputs)]
-    return make_automaton(gens + ["e"], alphabet, records, sink="e"), gens
+    """A seeded machine of test_nucleus, built, and its states other than the sink."""
+    aut = _build(_random_records(rng))
+    return aut, [s for s in aut.states if s != SINK]
 
 
 def _random_word(rng, gens, max_len):
@@ -395,6 +393,49 @@ def test_positive_oracle_against_the_action(star, fig5):
                 else:
                     w = result.witness
                     assert apply_word(aut, u, w) != apply_word(aut, v, w)
+
+
+def _oracle_machines(rng):
+    for name in ("star3", "path_4", "fig5_tree"):
+        aut = builtin_automaton(name)
+        yield aut, list(aut.states), 12
+    for _ in range(120):
+        aut, _ = _random_machine(rng)
+        yield aut, list(aut.states), 4
+
+
+def test_positive_oracle_witness_is_first_in_shortlex_order():
+    # brute force over input words in shortlex order: an unequal verdict's
+    # witness is the first word whose images under u and v differ, and an
+    # equal verdict's words agree on every input of length at most 4
+    rng = random.Random(304)
+    kinds = set()
+    for aut, states, count in _oracle_machines(rng):
+        for _ in range(count):
+            u = [rng.choice(states) for _ in range(rng.randint(0, 5))]
+            v = list(u)
+            if rng.random() < 0.5:
+                v = [rng.choice(states) for _ in range(rng.randint(0, 5))]
+            rng.shuffle(v)
+            result = semigroup_eq_via_action(aut, u, v)
+            depth = 4 if result.equal else len(result.witness)
+            words = (x for n in range(1, depth + 1)
+                     for x in itertools.product(aut.alphabet, repeat=n))
+            first = next((x for x in words if apply_word(aut, u, x) != apply_word(aut, v, x)),
+                         None)
+            assert first == result.witness
+            kinds.add("equal" if result.equal else min(len(result.witness), 3))
+    assert kinds == {"equal", 1, 2, 3}
+
+
+def test_positive_oracle_needs_an_invertible_machine():
+    # s sends both letters to 0, so it acts by no permutation
+    records = [("s", "0", "s", "0"), ("s", "1", "e", "0"), ("e", "0", "e", "0"),
+               ("e", "1", "e", "1")]
+    aut = make_automaton(["s", "e"], ["0", "1"], records, sink="e")
+    for u, v in (("s", "s"), ("s", "e"), ("", "")):
+        with pytest.raises(NotInvertible):
+            semigroup_eq_via_action(aut, u, v)
 
 
 @pytest.mark.parametrize("name", ["triangle_cyclic", "non_reducible_demo"])
